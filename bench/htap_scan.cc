@@ -43,34 +43,32 @@ std::uint64_t CollectRangeScan(replica::ReplicaBase& base,
                                storage::Database& db, TableId table, Key lo,
                                Key hi, std::uint64_t* checksum) {
   std::uint64_t matches = 0;
-  base.ReadOnlyTxn([&](const c5::Snapshot& snap) {
-    std::vector<std::pair<Key, RowId>> out;
-    db.index(table).CollectRange(lo, hi, &out);
-    storage::Table& tbl = db.table(table);
-    for (const auto& [key, row] : out) {
-      (void)key;
-      const storage::Version* v = tbl.ReadAt(row, snap.timestamp());
-      if (v == nullptr || v->deleted) continue;
-      std::uint64_t value = 0;
-      std::memcpy(&value, v->value().data(), sizeof(value));
-      *checksum += value;
-      ++matches;
-    }
-  });
+  const c5::Snapshot snap = base.OpenSnapshot();
+  std::vector<std::pair<Key, RowId>> out;
+  db.index(table).CollectRange(lo, hi, &out);
+  storage::Table& tbl = db.table(table);
+  for (const auto& [key, row] : out) {
+    (void)key;
+    const storage::Version* v = tbl.ReadAt(row, snap.timestamp());
+    if (v == nullptr || v->deleted) continue;
+    std::uint64_t value = 0;
+    std::memcpy(&value, v->value().data(), sizeof(value));
+    *checksum += value;
+    ++matches;
+  }
   return matches;
 }
 
 std::uint64_t StreamScan(replica::ReplicaBase& base, TableId table, Key lo,
                          Key hi, std::uint64_t* checksum) {
   std::uint64_t matches = 0;
-  base.ReadOnlyTxn([&](const c5::Snapshot& snap) {
-    for (auto it = snap.Scan(table, lo, hi); it.Valid(); it.Next()) {
-      std::uint64_t value = 0;
-      std::memcpy(&value, it.value().data(), sizeof(value));
-      *checksum += value;
-      ++matches;
-    }
-  });
+  const c5::Snapshot snap = base.OpenSnapshot();
+  for (auto it = snap.Scan(table, lo, hi); it.Valid(); it.Next()) {
+    std::uint64_t value = 0;
+    std::memcpy(&value, it.value().data(), sizeof(value));
+    *checksum += value;
+    ++matches;
+  }
   return matches;
 }
 
@@ -88,12 +86,8 @@ RangeResult MeasureRange(replica::ReplicaBase& base, storage::Database& db,
   const std::uint64_t m_stream = StreamScan(base, table, lo, hi, &sum_stream);
   AggSpec spec;
   spec.op = AggOp::kSum;
-  std::uint64_t agg_rows = 0, agg_sum = 0;
-  base.ReadOnlyTxn([&](const c5::Snapshot& snap) {
-    const AggResult a = snap.Aggregate(table, lo, hi, spec);
-    agg_rows = a.rows;
-    agg_sum = a.sum;
-  });
+  const AggResult agg = base.OpenSnapshot().Aggregate(table, lo, hi, spec);
+  const std::uint64_t agg_rows = agg.rows, agg_sum = agg.sum;
   if (m_collect != m_stream || m_stream != agg_rows ||
       sum_collect != sum_stream || sum_stream != agg_sum) {
     std::fprintf(stderr,
@@ -127,9 +121,7 @@ RangeResult MeasureRange(replica::ReplicaBase& base, storage::Database& db,
   {
     Stopwatch sw;
     for (int i = 0; i < stream_reps; ++i) {
-      base.ReadOnlyTxn([&](const c5::Snapshot& snap) {
-        sink += snap.Aggregate(table, lo, hi, spec).sum;
-      });
+      sink += base.OpenSnapshot().Aggregate(table, lo, hi, spec).sum;
     }
     r.aggregate_ns = sw.ElapsedSeconds() * 1e9 / stream_reps;
   }

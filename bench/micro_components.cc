@@ -234,7 +234,7 @@ BENCHMARK(BM_CheckpointWrite)->Arg(1000)->Arg(100000);
 
 void BM_SessionReadTokenRouted(benchmark::State& state) {
   // One caught-up backup; measures the session layer's routing overhead on
-  // top of a raw ReadAtVisible.
+  // top of a raw snapshot read.
   storage::Database db;
   const TableId t = db.CreateTable("bench");
   storage::Table& table = db.table(t);

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/snapshot.h"
 #include "bench/bench_util.h"
 #include "common/histogram.h"
 #include "replica/lag_tracker.h"
@@ -92,7 +93,7 @@ inline OnlineResult RunOnlineInsertExperiment(const OnlineConfig& config) {
         const Key key = (std::uint64_t{1} << 63) |
                         (rng.Uniform(config.write_clients) << 40) |
                         rng.Uniform(1 << 20);
-        (void)base->ReadAtVisible(table, key, &v);
+        (void)base->OpenSnapshot().Get(table, key, &v);
         reads.fetch_add(1, std::memory_order_relaxed);
       }
     });

@@ -16,6 +16,7 @@
 
 #include <cstdio>
 
+#include "api/snapshot.h"
 #include "bench/bench_util.h"
 #include "log/segment_source.h"
 #include "replica/query_fresh_replica.h"
@@ -113,12 +114,12 @@ void PartB() {
     qf.WaitUntilCaughtUp();
     Value v;
     Stopwatch first;
-    (void)qf.ReadAtVisible(qf_table, workload::SyntheticWorkload::kHotKey,
-                           &v);
+    (void)qf.OpenSnapshot().Get(qf_table,
+                                workload::SyntheticWorkload::kHotKey, &v);
     const double first_ms = first.ElapsedSeconds() * 1e3;
     Stopwatch second;
-    (void)qf.ReadAtVisible(qf_table, workload::SyntheticWorkload::kHotKey,
-                           &v);
+    (void)qf.OpenSnapshot().Get(qf_table,
+                                workload::SyntheticWorkload::kHotKey, &v);
     const double second_us = second.ElapsedSeconds() * 1e6;
     qf.Stop();
 
@@ -133,8 +134,8 @@ void PartB() {
     c5->WaitUntilCaughtUp();
     auto* base = dynamic_cast<replica::ReplicaBase*>(c5.get());
     Stopwatch c5_read;
-    (void)base->ReadAtVisible(c5_table,
-                              workload::SyntheticWorkload::kHotKey, &v);
+    (void)base->OpenSnapshot().Get(c5_table,
+                                   workload::SyntheticWorkload::kHotKey, &v);
     const double c5_us = c5_read.ElapsedSeconds() * 1e6;
     c5->Stop();
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Tier-1 verification: configure, build, run every test suite, smoke the
+# Tier-1 verification: configure, build, run every test suite, repeat the
+# concurrency-sensitive suites 20 times (the multi-core lane), smoke the
 # benchmark harnesses (tiny scale) to prove they still emit valid JSON, then
 # run the deterministic-simulation (DST) quick seed sweep under TSan (data
 # races in the replay pipelines), ASan (epoch GC reclaiming a reachable
@@ -80,6 +81,17 @@ fi
 cmake -B "$build_dir" -S "$repo_root"
 cmake --build "$build_dir" -j "$jobs"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
+
+# Multi-core repeat lane: the concurrency-sensitive suites (replay pipelines,
+# DST, the lock-free skiplist, scans over live replicas, socket shipping)
+# run 20 times each, stopping at the first failure. A race that fires one
+# run in five does not survive this lane. The core count comes first: a
+# pass on one core is no evidence about a race.
+echo "check.sh: repeat lane, nproc=$(nproc 2>/dev/null || echo unknown)"
+ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
+  --repeat until-fail:20 \
+  -R 'dst|property|replica|c5_core|cluster|ordered_index|htap|net'
+
 "$repo_root/scripts/bench.sh" --quick "$build_dir"
 
 run_static_lane

@@ -239,15 +239,12 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
   // defer. Samples latency from `t0` when >= 0.
   auto try_apply = [&](const log::LogRecord& rec,
                        std::int64_t t0) -> bool {
-    storage::Table& table = db_->table(rec.table);
     // The write becomes actionable once the row reaches (or passes, after
-    // a checkpoint resume) its predecessor position. Poll with plain
-    // loads; CAS attempts in a wait path would ping-pong the row's cache
-    // line and slow the very predecessor being waited for.
-    if (table.NewestVisibleTimestamp(rec.row) < rec.prev_ts ||
-        table.TryInstallIfPrev(rec.row, rec.prev_ts, rec.commit_ts,
-                               rec.value, rec.op == OpType::kDelete) ==
-            storage::PrevInstall::kNotReady) {
+    // a checkpoint resume) its predecessor position. TryInstallIfPrev
+    // answers kNotReady before any allocation or CAS, so polling never
+    // ping-pongs the row's cache line (only a record that may create the
+    // row repeats its idempotent index bind).
+    if (Apply(rec, rec.prev_ts) == storage::PrevInstall::kNotReady) {
       return false;
     }
     stats_.applied_writes.fetch_add(1, std::memory_order_relaxed);
@@ -341,15 +338,6 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
       const bool sample =
           (apply_tick++ & (kApplySampleEvery - 1)) == 0;
       const std::int64_t sample_t0 = sample ? MonotonicNowNanos() : -1;
-      storage::Table& table = db_->table(rec.table);
-      table.EnsureRow(rec.row);
-      // A row's first record can carry any op (coalesced insert+delete,
-      // update after an aborted insert); bind the index for every
-      // potentially row-creating record (see ReplicaBase::ApplyRecord).
-      if (rec.op != OpType::kUpdate ||
-          table.NewestVisibleTimestamp(rec.row) == kInvalidTimestamp) {
-        db_->BindIfNewer(rec.table, rec.key, rec.row, rec.commit_ts);
-      }
       // §5.2: while a snapshot is being taken, writes beyond the boundary n
       // must wait ("choosing n also blocks workers from executing writes
       // with sequence numbers greater than n until after the snapshot").

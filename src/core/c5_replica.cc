@@ -141,12 +141,9 @@ void C5Replica::FlushCounts(LocalCounts& counts) {
 }
 
 bool C5Replica::TryApply(const log::LogRecord& rec, LocalCounts& counts) {
-  storage::Table& table = db_->table(rec.table);
   // kAlreadyApplied records (at-least-once delivery, checkpoint resume)
   // count as applied so caught-up accounting and c' advancement still hold.
-  if (table.TryInstallIfPrev(rec.row, rec.prev_ts, rec.commit_ts, rec.value,
-                             rec.op == OpType::kDelete) ==
-      storage::PrevInstall::kNotReady) {
+  if (Apply(rec, rec.prev_ts) == storage::PrevInstall::kNotReady) {
     return false;
   }
   ++counts.applied_writes;
@@ -239,19 +236,6 @@ void C5Replica::WorkerLoop(int idx) {
     const std::int64_t cpu0 = ThreadCpuNowNanos();
     for (const log::LogRecord* rp : batch->recs) {
       const log::LogRecord& rec = *rp;
-      // Row-slot creation and index maintenance are idempotent; do them on
-      // first sight so deferred retries only need the install.
-      storage::Table& table = db_->table(rec.table);
-      table.EnsureRow(rec.row);
-      // A row's first record can carry any op (coalesced insert+delete,
-      // update after an aborted insert); bind the index for every
-      // potentially row-creating record, timestamp-aware so parallel
-      // workers converge on the newest row when a key's row id changes
-      // (see ReplicaBase::ApplyRecord).
-      if (rec.op != OpType::kUpdate ||
-          table.NewestVisibleTimestamp(rec.row) == kInvalidTimestamp) {
-        db_->BindIfNewer(rec.table, rec.key, rec.row, rec.commit_ts);
-      }
       bool applied;
       if ((apply_tick++ & (kApplySampleEvery - 1)) == 0) {
         const std::int64_t t0 = MonotonicNowNanos();

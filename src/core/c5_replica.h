@@ -170,8 +170,8 @@ class C5Replica : public replica::ReplicaBase {
                      LocalCounts& counts);
 
   // Applies one record if its predecessor is in place. Returns false to
-  // defer. Row-slot creation and index maintenance are idempotent and happen
-  // on first attempt.
+  // defer; a deferred record retries through the same call (row-slot
+  // creation and the index bind are idempotent).
   bool TryApply(const log::LogRecord& rec, LocalCounts& counts);
 
   Options options_;

@@ -20,9 +20,9 @@ namespace c5::ha {
 // contract in every protocol here), while writes above it may or may not
 // have been applied by workers that ran ahead of the snapshot. Segments
 // whose records all lie at or below resume_ts are skipped; the boundary
-// segment and everything after are redelivered, and the apply paths'
-// idempotency (PrevInstall::kAlreadyApplied / the ApplyRecord guard)
-// discards the overlap.
+// segment and everything after are redelivered, and the shared apply
+// primitive's idempotency (storage::Database::ApplyReplicated answers
+// PrevInstall::kAlreadyApplied) discards the overlap.
 class ResumeSegmentSource : public log::SegmentSource {
  public:
   ResumeSegmentSource(log::Log* log, Timestamp resume_ts)

@@ -25,10 +25,11 @@ OrderedIndex::Node* OrderedIndex::NewNode(Key key, int height) {
   return n;
 }
 
-OrderedIndex::Node* OrderedIndex::FindGreaterOrEqual(Key key,
-                                                     Node** prev) const {
+OrderedIndex::Node* OrderedIndex::FindGreaterOrEqual(
+    Key key, Node** prev, int* searched_height) const {
   Node* x = head_;
   int level = max_height_.load(std::memory_order_acquire) - 1;
+  if (searched_height != nullptr) *searched_height = level + 1;
   while (true) {
     Node* nx = x->next[level].load(std::memory_order_acquire);
     if (nx != nullptr && nx->key < key) {
@@ -73,7 +74,8 @@ bool OrderedIndex::UpdateNode(Node* n, RowId row, Timestamp ts, Mode mode) {
 bool OrderedIndex::UpsertCommon(Key key, RowId row, Timestamp ts, Mode mode) {
   assert(key <= kMaxUsableKey);
   Node* prev[kMaxHeight];
-  Node* found = FindGreaterOrEqual(key, prev);
+  int searched = 0;
+  Node* found = FindGreaterOrEqual(key, prev, &searched);
   if (found != nullptr && found->key == key) {
     return UpdateNode(found, row, ts, mode);
   }
@@ -88,10 +90,11 @@ bool OrderedIndex::UpsertCommon(Key key, RowId row, Timestamp ts, Mode mode) {
     // cur_max reloaded by the failed CAS; a concurrent raise past `height`
     // is fine — head_ is full-height, so taller searches just see nullptr.
   }
-  for (int level = cur_max < height ? cur_max : height; level < height;
-       ++level) {
-    prev[level] = head_;  // levels the splice search never descended through
-  }
+  // Levels the splice search never descended through start at head_. Start
+  // from the height the search used, not the reloaded max_height_: a
+  // concurrent writer may have raised it in between, and prev[] holds
+  // nothing for the levels above the searched height.
+  for (int level = searched; level < height; ++level) prev[level] = head_;
 
   Node* n = NewNode(key, height);
   n->row.store(row, std::memory_order_relaxed);

@@ -191,9 +191,11 @@ class OrderedIndex {
   Node* NewNode(Key key, int height);
 
   // First node with node->key >= key, or nullptr. When `prev` is non-null
-  // it receives, for every level, the last node with node->key < key (the
-  // insert splice).
-  Node* FindGreaterOrEqual(Key key, Node** prev) const;
+  // it receives, for every searched level, the last node with node->key <
+  // key (the insert splice). `searched_height`, when non-null, receives the
+  // number of levels searched (prev[] is filled below it only).
+  Node* FindGreaterOrEqual(Key key, Node** prev,
+                           int* searched_height = nullptr) const;
   Node* FindNode(Key key) const;
 
   bool UpsertCommon(Key key, RowId row, Timestamp ts, Mode mode);

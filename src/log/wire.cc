@@ -73,6 +73,11 @@ Status DecodeSegment(std::string_view bytes, std::size_t* consumed,
   if (Crc32c(payload.data(), payload.size()) != crc) {
     return Status::InvalidArgument("segment CRC mismatch");
   }
+  // record_count sits outside the CRC: bound it before it sizes an
+  // allocation.
+  if (record_count > payload_len / kMinRecordBytes) {
+    return Status::InvalidArgument("record_count overruns payload");
+  }
 
   auto segment = std::make_unique<LogSegment>(base_seq);
   segment->Reserve(record_count);

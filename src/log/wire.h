@@ -57,6 +57,13 @@ inline constexpr std::size_t kSegmentHeaderBytes =
     sizeof(std::uint32_t) +  // payload_len
     sizeof(std::uint32_t);   // payload_crc32c
 
+// Smallest encoded record: the fixed fields above with an empty value. A
+// header's record_count can never exceed payload_len / this, which is how
+// the decoder bounds a count the CRC does not cover.
+inline constexpr std::size_t kMinRecordBytes =
+    sizeof(std::uint32_t) + 2 * sizeof(std::uint8_t) +
+    3 * sizeof(std::uint64_t) + sizeof(std::uint32_t);
+
 // Maximum bytes a decoder will accept for one segment payload (a defense
 // against corrupt length fields, not a format limit).
 inline constexpr std::uint32_t kMaxPayloadBytes = 256u << 20;

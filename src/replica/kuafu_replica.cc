@@ -93,29 +93,21 @@ void KuaFuReplica::WorkerLoop() {
       // transaction-granularity stall shows up as throughput, not here.
       const bool sample = (apply_tick++ & (kApplySampleEvery - 1)) == 0;
       const std::int64_t sample_t0 = sample ? MonotonicNowNanos() : 0;
-      storage::Table& table = db_->table(rec->table);
-      table.EnsureRow(rec->row);
-      // One chain probe serves both the binding decision and the
-      // idempotence guard: same-row writers are serialized by the
-      // dependency edges, so `newest` cannot change between the two uses.
-      const Timestamp newest = table.NewestVisibleTimestamp(rec->row);
-      // A row's first record can carry any op (coalesced insert+delete,
-      // update after an aborted insert); bind the index for every
-      // potentially row-creating record (see ReplicaBase::ApplyRecord).
-      if (rec->op != OpType::kUpdate || newest == kInvalidTimestamp) {
-        db_->BindIfNewer(rec->table, rec->key, rec->row, rec->commit_ts);
-      }
-      // Idempotency under at-least-once delivery / checkpoint resume: skip
-      // records already covered by this row's state. Safe without a lock:
-      // same-row writers are serialized by the dependency edges. (The
-      // unconstrained diagnostic mode installs blindly by design.)
+      // Same-row writers are serialized by the dependency edges, so the
+      // shared primitive's install-if-newer is the idempotence guard under
+      // at-least-once delivery / checkpoint resume. The unconstrained
+      // diagnostic mode installs blindly, out of order, by design.
       if (options_.unconstrained) {
+        storage::Table& table = db_->table(rec->table);
+        table.EnsureRow(rec->row);
+        db_->BindIfCreating(rec->table, rec->key, rec->row, rec->op,
+                            rec->commit_ts,
+                            table.HeadTimestamp(rec->row) != kInvalidTimestamp);
         table.InstallCommitted(rec->row, rec->commit_ts, rec->value,
                                rec->op == OpType::kDelete,
                                /*allow_out_of_order=*/true);
-      } else if (newest < rec->commit_ts) {
-        table.InstallCommitted(rec->row, rec->commit_ts, rec->value,
-                               rec->op == OpType::kDelete);
+      } else {
+        Apply(*rec, kInvalidTimestamp);
       }
       stats_.applied_writes.fetch_add(1, std::memory_order_relaxed);
       if (sample) {

@@ -63,16 +63,12 @@ void QueryFreshReplica::IngestLoop(log::SegmentSource* source) {
       table.EnsureRow(rec.row);
       RowState* state = row_maps_[rec.table]->GetOrCreate(rec.row);
       // Query Fresh maintains indirection eagerly so readers can resolve
-      // keys before any row data is instantiated. A row's first record can
-      // carry any op (coalesced insert+delete, update after an aborted
-      // insert), so the row's first pending record always binds; version
-      // chains are lazily built here, so "row has state" is "row has
-      // pending or applied records", not a chain probe
-      // (see ReplicaBase::ApplyRecord).
-      if (rec.op != OpType::kUpdate ||
-          state->appended.load(std::memory_order_relaxed) == 0) {
-        db_->BindIfNewer(rec.table, rec.key, rec.row, rec.commit_ts);
-      }
+      // keys before any row data is instantiated. Version chains are built
+      // lazily, so "row has state" is "row has pending or applied records",
+      // not a chain probe.
+      db_->BindIfCreating(
+          rec.table, rec.key, rec.row, rec.op, rec.commit_ts,
+          state->appended.load(std::memory_order_relaxed) != 0);
       PendingNode* node = arena_.New();
       node->rec = &rec;
       node->next = nullptr;
@@ -121,12 +117,11 @@ void QueryFreshReplica::InstantiateRow(TableId table, RowId row,
   std::uint64_t applied = 0;
   while (state->head != nullptr && state->head->rec->commit_ts <= ts) {
     const log::LogRecord& rec = *state->head->rec;
-    // Idempotency under at-least-once delivery / checkpoint resume: skip
-    // records already covered by this row's recovered state.
-    if (t.NewestVisibleTimestamp(rec.row) < rec.commit_ts) {
-      t.InstallCommitted(rec.row, rec.commit_ts, rec.value,
-                         rec.op == OpType::kDelete);
-    }
+    // Install-if-newer (the row latch orders this row's installs): records
+    // already covered by the row's recovered state are skipped, which keeps
+    // at-least-once delivery / checkpoint resume idempotent.
+    t.TryInstallIfPrev(rec.row, kInvalidTimestamp, rec.commit_ts, rec.value,
+                       rec.op == OpType::kDelete);
     state->head = state->head->next;
     ++applied;
   }

@@ -75,7 +75,7 @@ class QueryFreshReplica : public ReplicaBase {
   // Instantiates (replays) all of `row`'s pending writes with commit
   // timestamps <= ts. Exposed so multi-key read-only transactions can
   // pre-instantiate their read sets. The caller must hold an epoch guard
-  // for this database (ReadOnlyTxn provides one), as installs read the
+  // for this database (an open Snapshot provides one), as installs read the
   // row's version chain.
   void InstantiateRow(TableId table, RowId row, Timestamp ts);
 
@@ -129,7 +129,7 @@ class QueryFreshReplica : public ReplicaBase {
   // without taking the latch.
   struct RowState {
     // kReplicaState, strictly below kStorage: InstantiateRow holds this
-    // latch across Table::InstallCommitted (which may take the table's
+    // latch across Table::TryInstallIfPrev (which may take the table's
     // grow lock and the version arena's locks underneath).
     SpinLock mu{LockRank::kReplicaState};
     PendingNode* head C5_GUARDED_BY(mu) = nullptr;

@@ -7,7 +7,7 @@
 //  * Every read-only transaction runs inside an epoch guard and registers
 //    its snapshot with the reader tracker before reading, so GcHorizon()
 //    never reclaims a version an active reader could still observe.
-//  * ApplyRecord is idempotent: at-least-once log delivery (checkpoint
+//  * Applying a record is idempotent: at-least-once log delivery (checkpoint
 //    resume, source restart) must not install duplicate versions or skew
 //    the applied-write/transaction counters used for caught-up accounting.
 //  * After SetRecoveryWindow, no snapshot inside the window is ever
@@ -16,8 +16,7 @@
 //
 // The read surface (point get, multi-get, ordered scan) is c5::Snapshot
 // (api/snapshot.h), an RAII handle combining the epoch guard, reader
-// registration, and the pinned visible timestamp. ReadAtVisible and
-// ReadOnlyTxn below are thin wrappers over it.
+// registration, and the pinned visible timestamp (OpenSnapshot below).
 
 #ifndef C5_REPLICA_REPLICA_H_
 #define C5_REPLICA_REPLICA_H_
@@ -30,7 +29,6 @@
 #include "common/histogram.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "common/status.h"
 #include "common/types.h"
 #include "log/segment_source.h"
 #include "storage/database.h"
@@ -147,16 +145,6 @@ class ReplicaBase : public Replica {
   // by a separate set of threads", §4). Defined in api/snapshot.h.
   c5::Snapshot OpenSnapshot();
 
-  // Point-read convenience: OpenSnapshot().Get(...). Returns kNotFound for
-  // keys absent (or deleted) at the snapshot. Defined in api/snapshot.cc.
-  Status ReadAtVisible(TableId table, Key key, Value* out);
-
-  // Multi-key read-only transaction at one stable snapshot. `fn` receives
-  // the open c5::Snapshot. Callers include api/snapshot.h (which defines
-  // this template after the Snapshot class).
-  template <typename Fn>
-  void ReadOnlyTxn(Fn&& fn);
-
   // Safe GC horizon for the backup: nothing at or below min(active reader
   // snapshots, current snapshot) may lose its newest-committed-below version.
   Timestamp GcHorizon() const {
@@ -210,39 +198,22 @@ class ReplicaBase : public Replica {
   }
 
  protected:
-  // Applies one log record to the backup database, installing a committed
-  // version with the record's commit timestamp. The caller guarantees
-  // per-row ordering. Keys are upserted into the backup's index so read-only
-  // transactions can resolve them. Idempotent: a record whose row already
-  // carries a version at or above its commit timestamp was applied by a
-  // previous incarnation of this replica (at-least-once log delivery,
-  // checkpoint resume) and is skipped — but still counted, so caught-up
-  // accounting holds.
+  // Applies one log record through the shared replicated-write primitive
+  // (storage::Database::ApplyReplicated): binds the key if the record may
+  // create its row, then installs it iff the row holds `prev_ts`.
+  storage::PrevInstall Apply(const log::LogRecord& rec, Timestamp prev_ts) {
+    return db_->ApplyReplicated(rec.table, rec.key, rec.row, rec.op, prev_ts,
+                                rec.commit_ts, rec.value);
+  }
+
+  // Applies one log record for a protocol that orders each row's writes
+  // itself (prev_ts = kInvalidTimestamp: install-if-newer) and counts it.
+  // Idempotent: a record whose row already carries a version at or above
+  // its commit timestamp was applied by a previous incarnation of this
+  // replica (at-least-once log delivery, checkpoint resume) and is skipped
+  // — but still counted, so caught-up accounting holds.
   void ApplyRecord(const log::LogRecord& rec) {
-    storage::Table& table = db_->table(rec.table);
-    table.EnsureRow(rec.row);
-    // One chain probe serves both the binding decision and the idempotence
-    // guard: the caller guarantees per-row ordering, so `newest` cannot
-    // change between the two uses.
-    const Timestamp newest = table.NewestVisibleTimestamp(rec.row);
-    // Bind key -> row for every record that may CREATE the row, not just
-    // kInsert. A row's first logged record can carry any op: a transaction
-    // that inserts and deletes the same key coalesces to a single kDelete,
-    // and an ABORTED insert leaves the key in the primary's index so a
-    // later committed write ships as plain kUpdate. Binding updates only
-    // when the row has no committed state keeps the hot path (updates to
-    // existing rows) free of index writes. (Found by the DST
-    // logical-snapshot oracle.) The binding is timestamp-aware: when a
-    // key's row id changes (delete + re-insert allocates a fresh row),
-    // parallel application of the old-row and new-row creating records
-    // must converge to the newest row, whatever order they land in.
-    if (rec.op != OpType::kUpdate || newest == kInvalidTimestamp) {
-      db_->BindIfNewer(rec.table, rec.key, rec.row, rec.commit_ts);
-    }
-    if (newest < rec.commit_ts) {
-      table.InstallCommitted(rec.row, rec.commit_ts, rec.value,
-                             rec.op == OpType::kDelete);
-    }
+    Apply(rec, kInvalidTimestamp);
     stats_.applied_writes.fetch_add(1, std::memory_order_relaxed);
     if (rec.last_in_txn) {
       stats_.applied_txns.fetch_add(1, std::memory_order_relaxed);

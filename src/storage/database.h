@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/spin_lock.h"
@@ -55,14 +56,54 @@ class Database {
   // in step; these helpers are the only places that touch both, so a new
   // apply path cannot update one and forget the other.
 
-  // Timestamp-aware bind used by every backup apply path (and checkpoint
-  // load): installs key -> row in both indexes iff `ts` is at or above the
-  // existing binding (HashIndex::UpsertIfNewer discipline). Returns whether
-  // the hash binding was installed/refreshed.
+  // Timestamp-aware bind: installs key -> row in both indexes iff `ts` is
+  // at or above the existing binding (HashIndex::UpsertIfNewer discipline),
+  // so parallel replay converges on the newest row whatever order a key's
+  // row-creating records land in. Backup apply paths reach it through
+  // BindIfCreating; checkpoint load calls it directly to restore each
+  // entry's stored binding. Returns whether the hash binding was
+  // installed/refreshed.
   bool BindIfNewer(TableId tid, Key key, RowId row, Timestamp ts) {
     const bool bound = indexes_[tid]->UpsertIfNewer(key, row, ts);
     ordered_indexes_[tid]->UpsertIfNewer(key, row, ts);
     return bound;
+  }
+
+  // ---- Replicated-write apply (every backup replay path) --------------------
+
+  // The may-create rule: binds key -> row for every record that may CREATE
+  // the row, not just kInsert. A row's first logged record can carry any
+  // op: a transaction that inserts and deletes one key coalesces to a
+  // single kDelete, and an ABORTED insert leaves the key in the primary's
+  // index so a later committed write ships as plain kUpdate. So only an
+  // update to a row that already has state skips the bind, which keeps the
+  // hot path (updates to existing rows) free of index writes. (Found by the
+  // DST logical-snapshot oracle.) Idempotent: a redelivered record rebinds
+  // at its own timestamp.
+  void BindIfCreating(TableId tid, Key key, RowId row, OpType op,
+                      Timestamp ts, bool row_has_state) {
+    if (op != OpType::kUpdate || !row_has_state) {
+      BindIfNewer(tid, key, row, ts);
+    }
+  }
+
+  // Applies one replicated write: ensures the row slot, binds the key per
+  // BindIfCreating (the row has state iff its chain has a head), then
+  // installs a committed version at `ts` iff the row holds `prev_ts`
+  // (Table::TryInstallIfPrev). kAlreadyApplied makes at-least-once delivery
+  // idempotent; kNotReady (predecessor missing) allocates nothing, and a
+  // retry may call this again. Protocols that order each row's writes
+  // themselves pass prev_ts = kInvalidTimestamp: with per-row ordering and
+  // a committed-only chain that is install-if-newer and never kNotReady.
+  PrevInstall ApplyReplicated(TableId tid, Key key, RowId row, OpType op,
+                              Timestamp prev_ts, Timestamp ts,
+                              std::string_view value) {
+    Table& t = *tables_[tid];
+    t.EnsureRow(row);
+    BindIfCreating(tid, key, row, op, ts,
+                   t.HeadTimestamp(row) != kInvalidTimestamp);
+    return t.TryInstallIfPrev(row, prev_ts, ts, value,
+                              op == OpType::kDelete);
   }
 
   // Primary-engine insert bind: claims key -> fresh if the key is unbound.

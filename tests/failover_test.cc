@@ -369,15 +369,16 @@ TEST(FailoverTest, PromotionDuringActiveReplayMatchesOracle) {
   std::thread readers([&] {
     Timestamp last = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      base->ReadOnlyTxn([&](const c5::Snapshot& snap) {
+      {
+        const c5::Snapshot snap = base->OpenSnapshot();
         if (snap.timestamp() < last) {
           monotonic.store(false, std::memory_order_relaxed);
         }
         last = snap.timestamp();
-      });
+      }
       Value v;
-      (void)base->ReadAtVisible(table, workload::SyntheticWorkload::kHotKey,
-                                &v);
+      (void)base->OpenSnapshot().Get(
+          table, workload::SyntheticWorkload::kHotKey, &v);
     }
   });
 

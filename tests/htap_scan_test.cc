@@ -100,37 +100,36 @@ TEST_F(HtapScanTest, ScanBoundariesOnBackup) {
   Delete(500);
   Drain();
 
-  base_->ReadOnlyTxn([&](const Snapshot& snap) {
-    // Scan from 0 returns key 0 first; the deleted key is skipped.
-    std::vector<Key> keys;
-    std::vector<std::uint64_t> values;
-    for (auto it = snap.Scan(table_, 0, ~Key{0}); it.Valid(); it.Next()) {
-      keys.push_back(it.key());
-      values.push_back(workload::DecodeIntValue(it.value()));
-    }
-    EXPECT_EQ(keys, (std::vector<Key>{0, 1, kTopKey}));
-    EXPECT_EQ(values, (std::vector<std::uint64_t>{1000, 1001, 2000}));
+  const Snapshot snap = base_->OpenSnapshot();
+  // Scan from 0 returns key 0 first; the deleted key is skipped.
+  std::vector<Key> keys;
+  std::vector<std::uint64_t> values;
+  for (auto it = snap.Scan(table_, 0, ~Key{0}); it.Valid(); it.Next()) {
+    keys.push_back(it.key());
+    values.push_back(workload::DecodeIntValue(it.value()));
+  }
+  EXPECT_EQ(keys, (std::vector<Key>{0, 1, kTopKey}));
+  EXPECT_EQ(values, (std::vector<std::uint64_t>{1000, 1001, 2000}));
 
-    // lo == hi is empty at both extremes and in the middle.
-    EXPECT_FALSE(snap.Scan(table_, 0, 0).Valid());
-    EXPECT_FALSE(snap.Scan(table_, 500, 500).Valid());
-    EXPECT_FALSE(snap.Scan(table_, ~Key{0}, ~Key{0}).Valid());
+  // lo == hi is empty at both extremes and in the middle.
+  EXPECT_FALSE(snap.Scan(table_, 0, 0).Valid());
+  EXPECT_FALSE(snap.Scan(table_, 500, 500).Valid());
+  EXPECT_FALSE(snap.Scan(table_, ~Key{0}, ~Key{0}).Valid());
 
-    // hi == max does not wrap: the band [kTopKey, 2^64-1) sees only the top
-    // key, once.
-    auto it = snap.Scan(table_, kTopKey, ~Key{0});
-    ASSERT_TRUE(it.Valid());
-    EXPECT_EQ(it.key(), kTopKey);
-    it.Next();
-    EXPECT_FALSE(it.Valid());
+  // hi == max does not wrap: the band [kTopKey, 2^64-1) sees only the top
+  // key, once.
+  auto it = snap.Scan(table_, kTopKey, ~Key{0});
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.key(), kTopKey);
+  it.Next();
+  EXPECT_FALSE(it.Valid());
 
-    // [0, 1) returns exactly key 0 (hi exclusive at the bottom).
-    auto it0 = snap.Scan(table_, 0, 1);
-    ASSERT_TRUE(it0.Valid());
-    EXPECT_EQ(it0.key(), 0u);
-    it0.Next();
-    EXPECT_FALSE(it0.Valid());
-  });
+  // [0, 1) returns exactly key 0 (hi exclusive at the bottom).
+  auto it0 = snap.Scan(table_, 0, 1);
+  ASSERT_TRUE(it0.Valid());
+  EXPECT_EQ(it0.key(), 0u);
+  it0.Next();
+  EXPECT_FALSE(it0.Valid());
 }
 
 TEST_F(HtapScanTest, ScanAllocationsAreConstantInMatchCount) {
@@ -138,32 +137,31 @@ TEST_F(HtapScanTest, ScanAllocationsAreConstantInMatchCount) {
   for (Key k = 0; k < kWide; ++k) Put(k, k);
   Drain();
 
-  base_->ReadOnlyTxn([&](const Snapshot& snap) {
-    // Warm any lazily-initialized read-path state outside the measurement.
-    std::uint64_t sink = 0;
-    for (auto it = snap.Scan(table_, 0, 8); it.Valid(); it.Next()) {
-      sink += it.key();
-    }
+  const Snapshot snap = base_->OpenSnapshot();
+  // Warm any lazily-initialized read-path state outside the measurement.
+  std::uint64_t sink = 0;
+  for (auto it = snap.Scan(table_, 0, 8); it.Valid(); it.Next()) {
+    sink += it.key();
+  }
 
-    const auto measure = [&](Key lo, Key hi) {
-      bench::AllocScope scope;
-      for (auto it = snap.Scan(table_, lo, hi); it.Valid(); it.Next()) {
-        sink += workload::DecodeIntValue(it.value());
-      }
-      return scope.Count();
-    };
-    const std::uint64_t narrow = measure(0, 8);
-    const std::uint64_t wide = measure(0, kWide);
-    // O(1), not O(matches): the old iterator allocated a 4096-entry vector
-    // (and its sort scratch) up front. The streaming iterator holds one
-    // stack cursor; a handful of allocations of slack tolerates logging or
-    // gtest internals, 512x fewer than a per-match copy would cost.
-    EXPECT_LE(wide, narrow + 8)
-        << "a 4096-match scan allocated " << wide
-        << " times vs " << narrow << " for an 8-match scan — the iterator "
-        << "is materializing the match set again";
-    (void)sink;
-  });
+  const auto measure = [&](Key lo, Key hi) {
+    bench::AllocScope scope;
+    for (auto it = snap.Scan(table_, lo, hi); it.Valid(); it.Next()) {
+      sink += workload::DecodeIntValue(it.value());
+    }
+    return scope.Count();
+  };
+  const std::uint64_t narrow = measure(0, 8);
+  const std::uint64_t wide = measure(0, kWide);
+  // O(1), not O(matches): the old iterator allocated a 4096-entry vector
+  // (and its sort scratch) up front. The streaming iterator holds one
+  // stack cursor; a handful of allocations of slack tolerates logging or
+  // gtest internals, 512x fewer than a per-match copy would cost.
+  EXPECT_LE(wide, narrow + 8)
+      << "a 4096-match scan allocated " << wide
+      << " times vs " << narrow << " for an 8-match scan — the iterator "
+      << "is materializing the match set again";
+  (void)sink;
 }
 
 TEST_F(HtapScanTest, AggregatePushdownMatchesClientSideFold) {
@@ -173,57 +171,56 @@ TEST_F(HtapScanTest, AggregatePushdownMatchesClientSideFold) {
   Delete(101);
   Drain();
 
-  base_->ReadOnlyTxn([&](const Snapshot& snap) {
-    const Key lo = 50, hi = 400;
-    std::uint64_t want_rows = 0, want_sum = 0;
-    std::uint64_t want_min = ~std::uint64_t{0}, want_max = 0;
-    for (auto it = snap.Scan(table_, lo, hi); it.Valid(); it.Next()) {
-      const std::uint64_t v = workload::DecodeIntValue(it.value());
-      ++want_rows;
-      want_sum += v;
-      want_min = std::min(want_min, v);
-      want_max = std::max(want_max, v);
-    }
-    ASSERT_EQ(want_rows, (hi - lo) - 2) << "the two deletes must be skipped";
+  const Snapshot snap = base_->OpenSnapshot();
+  const Key lo = 50, hi = 400;
+  std::uint64_t want_rows = 0, want_sum = 0;
+  std::uint64_t want_min = ~std::uint64_t{0}, want_max = 0;
+  for (auto it = snap.Scan(table_, lo, hi); it.Valid(); it.Next()) {
+    const std::uint64_t v = workload::DecodeIntValue(it.value());
+    ++want_rows;
+    want_sum += v;
+    want_min = std::min(want_min, v);
+    want_max = std::max(want_max, v);
+  }
+  ASSERT_EQ(want_rows, (hi - lo) - 2) << "the two deletes must be skipped";
 
-    AggSpec spec;
-    spec.field_offset = 0;
-    spec.field_width = 8;
-    for (const AggOp op : {AggOp::kSum, AggOp::kMin, AggOp::kMax}) {
-      spec.op = op;
-      const AggResult r = snap.Aggregate(table_, lo, hi, spec);
-      EXPECT_EQ(r.rows, want_rows);
-      EXPECT_EQ(r.sum, want_sum);
-      EXPECT_EQ(r.min, want_min);
-      EXPECT_EQ(r.max, want_max);
-    }
-    // A pure unfiltered count reports rows without touching payloads.
-    spec.op = AggOp::kCount;
-    EXPECT_EQ(snap.Aggregate(table_, lo, hi, spec).rows, want_rows);
-    EXPECT_EQ(snap.Aggregate(table_, lo, hi, spec).value(AggOp::kCount),
-              want_rows);
+  AggSpec spec;
+  spec.field_offset = 0;
+  spec.field_width = 8;
+  for (const AggOp op : {AggOp::kSum, AggOp::kMin, AggOp::kMax}) {
+    spec.op = op;
+    const AggResult r = snap.Aggregate(table_, lo, hi, spec);
+    EXPECT_EQ(r.rows, want_rows);
+    EXPECT_EQ(r.sum, want_sum);
+    EXPECT_EQ(r.min, want_min);
+    EXPECT_EQ(r.max, want_max);
+  }
+  // A pure unfiltered count reports rows without touching payloads.
+  spec.op = AggOp::kCount;
+  EXPECT_EQ(snap.Aggregate(table_, lo, hi, spec).rows, want_rows);
+  EXPECT_EQ(snap.Aggregate(table_, lo, hi, spec).value(AggOp::kCount),
+            want_rows);
 
-    // filter_below pushes the predicate into the same walk.
-    spec.op = AggOp::kCount;
-    spec.filter_below = 500;
-    std::uint64_t want_below = 0;
-    for (auto it = snap.Scan(table_, lo, hi); it.Valid(); it.Next()) {
-      if (workload::DecodeIntValue(it.value()) < 500) ++want_below;
-    }
-    EXPECT_EQ(snap.Aggregate(table_, lo, hi, spec).rows, want_below);
+  // filter_below pushes the predicate into the same walk.
+  spec.op = AggOp::kCount;
+  spec.filter_below = 500;
+  std::uint64_t want_below = 0;
+  for (auto it = snap.Scan(table_, lo, hi); it.Valid(); it.Next()) {
+    if (workload::DecodeIntValue(it.value()) < 500) ++want_below;
+  }
+  EXPECT_EQ(snap.Aggregate(table_, lo, hi, spec).rows, want_below);
 
-    // Empty range: zero rows, identity min/max.
-    const AggResult empty = snap.Aggregate(table_, 7, 7, AggSpec{});
-    EXPECT_EQ(empty.rows, 0u);
-    EXPECT_EQ(empty.min, ~std::uint64_t{0});
-    EXPECT_EQ(empty.max, 0u);
+  // Empty range: zero rows, identity min/max.
+  const AggResult empty = snap.Aggregate(table_, 7, 7, AggSpec{});
+  EXPECT_EQ(empty.rows, 0u);
+  EXPECT_EQ(empty.min, ~std::uint64_t{0});
+  EXPECT_EQ(empty.max, 0u);
 
-    // Aggregation is allocation-free (pure pushdown, nothing materialized).
-    bench::AllocScope scope;
-    const AggResult all = snap.Aggregate(table_, 0, kKeys, AggSpec{});
-    EXPECT_EQ(all.rows, kKeys - 2);
-    EXPECT_LE(scope.Count(), 2u);
-  });
+  // Aggregation is allocation-free (pure pushdown, nothing materialized).
+  bench::AllocScope scope;
+  const AggResult all = snap.Aggregate(table_, 0, kKeys, AggSpec{});
+  EXPECT_EQ(all.rows, kKeys - 2);
+  EXPECT_LE(scope.Count(), 2u);
 }
 
 }  // namespace

@@ -62,8 +62,8 @@ TEST_P(OnlineReplicationTest, LivePrimaryStreamsToReplicaWithReaders) {
     Rng rng(reader_seed);
     while (!stop_readers.load()) {
       Value v;
-      (void)base->ReadAtVisible(table, workload::SyntheticWorkload::kHotKey,
-                                &v);
+      (void)base->OpenSnapshot().Get(
+          table, workload::SyntheticWorkload::kHotKey, &v);
       reads.fetch_add(1);
     }
   });

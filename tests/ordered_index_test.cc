@@ -215,6 +215,31 @@ TEST(OrderedIndexTest, ConcurrentInsertsWithLiveReaders) {
   EXPECT_EQ(expect, static_cast<Key>(kThreads) * kPerThread);
 }
 
+// Regression for the splice race: a writer whose search saw a low
+// max_height_ must still fill its head-level splice entries when another
+// writer raises the tower height before the link step. A young index is
+// where the height climbs, so every round starts from an empty one.
+TEST(OrderedIndexTest, FourWritersOnFreshIndexNeverCorruptSplice) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  constexpr Key kPerThread = 20000;
+  for (int round = 0; round < kRounds; ++round) {
+    OrderedIndex idx;
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t) {
+      writers.emplace_back([&idx, t] {
+        for (Key i = 0; i < kPerThread; ++i) {
+          const Key key = i * kThreads + static_cast<Key>(t);
+          idx.Insert(key, key);
+        }
+      });
+    }
+    for (auto& w : writers) w.join();
+    ASSERT_EQ(idx.Size(), static_cast<std::size_t>(kThreads) * kPerThread)
+        << "round " << round;
+  }
+}
+
 // Racing inserts of the SAME key must resolve to exactly one binding (the
 // level-0 CAS is the commit point; losers degrade to an update attempt that
 // Insert-mode rejects).

@@ -76,9 +76,9 @@ TEST(QueryFreshTest, ReadInstantiatesOnlyTheTouchedRow) {
   ASSERT_GT(hot_writes, 0u);
 
   Value v;
-  ASSERT_TRUE(
-      replica.ReadAtVisible(table, workload::SyntheticWorkload::kHotKey, &v)
-          .ok());
+  ASSERT_TRUE(replica.OpenSnapshot()
+                  .Get(table, workload::SyntheticWorkload::kHotKey, &v)
+                  .ok());
   EXPECT_EQ(replica.stats().applied_writes.load(), hot_writes);
   EXPECT_EQ(replica.PendingBacklog(), run.log.NumRecords() - hot_writes);
   replica.Stop();
@@ -101,7 +101,7 @@ TEST(QueryFreshTest, ReadsAloneConvergeToPrimaryState) {
   for (std::size_t s = 0; s < run.log.NumSegments(); ++s) {
     for (const auto& rec : run.log.segment(s)->records()) {
       Value v;
-      EXPECT_TRUE(replica.ReadAtVisible(table, rec.key, &v).ok());
+      EXPECT_TRUE(replica.OpenSnapshot().Get(table, rec.key, &v).ok());
     }
   }
   EXPECT_EQ(replica.PendingBacklog(), 0u);
@@ -141,17 +141,16 @@ TEST(QueryFreshTest, FixedSnapshotReadsAreAtomic) {
     while (!stop.load(std::memory_order_acquire)) {
       // Snapshot::Get drains each row's pending redo list through the
       // PrepareRowRead hook before reading — the multi-key lazy read path.
-      replica.ReadOnlyTxn([&](const c5::Snapshot& snap) {
-        if (snap.timestamp() == 0) return;
-        Value va, vb;
-        const std::uint64_t a =
-            snap.Get(table, kA, &va).ok() ? workload::DecodeIntValue(va) : 0;
-        const std::uint64_t b =
-            snap.Get(table, kB, &vb).ok() ? workload::DecodeIntValue(vb) : 0;
-        if (a != b) violation.store(true);
-        if (a < last_seen) violation.store(true);
-        last_seen = a;
-      });
+      const c5::Snapshot snap = replica.OpenSnapshot();
+      if (snap.timestamp() == 0) continue;
+      Value va, vb;
+      const std::uint64_t a =
+          snap.Get(table, kA, &va).ok() ? workload::DecodeIntValue(va) : 0;
+      const std::uint64_t b =
+          snap.Get(table, kB, &vb).ok() ? workload::DecodeIntValue(vb) : 0;
+      if (a != b) violation.store(true);
+      if (a < last_seen) violation.store(true);
+      last_seen = a;
     }
   });
 
@@ -163,7 +162,7 @@ TEST(QueryFreshTest, FixedSnapshotReadsAreAtomic) {
   EXPECT_FALSE(violation.load());
 
   Value v;
-  ASSERT_TRUE(replica.ReadAtVisible(table, kA, &v).ok());
+  ASSERT_TRUE(replica.OpenSnapshot().Get(table, kA, &v).ok());
   EXPECT_EQ(workload::DecodeIntValue(v), 300u);
 }
 
@@ -188,7 +187,7 @@ TEST(QueryFreshTest, ConcurrentReadersOfOneHotRowAgree) {
   readers.reserve(kReaders);
   for (int i = 0; i < kReaders; ++i) {
     readers.emplace_back([&, i] {
-      const Status s = replica.ReadAtVisible(
+      const Status s = replica.OpenSnapshot().Get(
           table, workload::SyntheticWorkload::kHotKey, &results[i]);
       ASSERT_TRUE(s.ok());
     });
@@ -236,7 +235,7 @@ TEST(QueryFreshTest, LazyInstantiationAppliesDeletes) {
   replica.WaitUntilCaughtUp();
 
   Value v;
-  EXPECT_EQ(replica.ReadAtVisible(table, kKey, &v).code(),
+  EXPECT_EQ(replica.OpenSnapshot().Get(table, kKey, &v).code(),
             StatusCode::kNotFound);
   EXPECT_EQ(replica.PendingBacklog(), 0u);
   replica.Stop();

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "storage/database.h"
@@ -321,6 +322,86 @@ TEST(DatabaseTest, CollectGarbageAcrossTables) {
     db.table(t).InstallCommitted(r, 2, "y");
   }
   EXPECT_EQ(db.CollectGarbage(10), 2u);
+}
+
+// Database::ApplyReplicated, the replicated-write primitive every eager
+// backup replay path shares: one case per behaviour. Each case runs on a
+// fresh database; with `has_state`, row 0 first takes a kInsert of key 7 at
+// ts 10 (bound at 10). `want_bind_ts` is key 7's binding afterwards.
+TEST(DatabaseTest, ApplyReplicatedCases) {
+  struct Case {
+    const char* name;
+    bool has_state;
+    OpType op;
+    Timestamp prev_ts;
+    Timestamp ts;
+    PrevInstall want;
+    Timestamp want_bind_ts;
+    std::size_t want_versions;
+  };
+  const Case cases[] = {
+      {"update on an empty row binds", false, OpType::kUpdate, 0, 20,
+       PrevInstall::kInstalled, 20, 1},
+      {"update on a row with state leaves the index", true, OpType::kUpdate,
+       10, 20, PrevInstall::kInstalled, 10, 2},
+      {"lone delete as first record binds", false, OpType::kDelete, 0, 20,
+       PrevInstall::kInstalled, 20, 1},
+      {"ts at or below the head is already applied", true, OpType::kUpdate, 0,
+       10, PrevInstall::kAlreadyApplied, 10, 1},
+      {"missing predecessor is not ready", false, OpType::kUpdate, 5, 20,
+       PrevInstall::kNotReady, 20, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Database db;
+    const TableId t = db.CreateTable("t");
+    if (c.has_state) {
+      ASSERT_EQ(db.ApplyReplicated(t, 7, 0, OpType::kInsert, 0, 10, "base"),
+                PrevInstall::kInstalled);
+    }
+    const std::uint64_t slabs = db.table(t).arena().slabs().SlabsAllocated();
+    EXPECT_EQ(db.ApplyReplicated(t, 7, 0, c.op, c.prev_ts, c.ts, "v"), c.want);
+    EXPECT_EQ(db.table(t).CountVersionsApprox(), c.want_versions);
+    if (c.want == PrevInstall::kInstalled) {
+      EXPECT_EQ(db.table(t).HeadTimestamp(0), c.ts);
+    } else {
+      // No version was created, so the table's arena allocated nothing.
+      EXPECT_EQ(db.table(t).arena().slabs().SlabsAllocated(), slabs);
+    }
+    const auto hash = db.index(t).LookupWithTs(7);
+    const auto ordered = db.ordered_index(t).LookupWithTs(7);
+    ASSERT_TRUE(hash.has_value());
+    ASSERT_TRUE(ordered.has_value());
+    EXPECT_EQ(*hash, std::make_pair(RowId{0}, c.want_bind_ts));
+    EXPECT_EQ(*ordered, *hash);
+  }
+}
+
+// A key whose row id changed (delete + re-insert allocates a fresh row)
+// has two row-creating records; parallel replay may apply them in either
+// order, and both indexes must converge on the newer row.
+TEST(DatabaseTest, ApplyReplicatedCreatingRecordsConvergeInEitherOrder) {
+  for (const bool newer_first : {false, true}) {
+    SCOPED_TRACE(newer_first ? "newer first" : "older first");
+    Database db;
+    const TableId t = db.CreateTable("t");
+    const auto apply_old = [&] {
+      db.ApplyReplicated(t, 7, /*row=*/0, OpType::kInsert, 0, 10, "old");
+    };
+    const auto apply_new = [&] {
+      db.ApplyReplicated(t, 7, /*row=*/1, OpType::kInsert, 0, 20, "new");
+    };
+    if (newer_first) {
+      apply_new();
+      apply_old();
+    } else {
+      apply_old();
+      apply_new();
+    }
+    const auto want = std::make_pair(RowId{1}, Timestamp{20});
+    EXPECT_EQ(db.index(t).LookupWithTs(7), want);
+    EXPECT_EQ(db.ordered_index(t).LookupWithTs(7), want);
+  }
 }
 
 }  // namespace

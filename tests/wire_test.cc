@@ -203,6 +203,9 @@ TEST(WireTest, ValidCrcHostileStructureIsRejected) {
   // record_count larger than the records present: decoder must hit the
   // payload end, not read past it.
   reject(frame(0, 1000, rec), "record_count overruns payload");
+  // A count no payload could hold must be rejected before it sizes the
+  // record array (the header is outside the CRC).
+  reject(frame(0, UINT32_MAX, rec), "record_count = UINT32_MAX");
   // record_count smaller: trailing bytes must be rejected, not ignored.
   reject(frame(0, 0, rec), "trailing bytes accepted");
   // value_len pointing far past the payload (valid CRC over the lie).
