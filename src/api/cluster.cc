@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/thread_util.h"
 #include "net/ship_server.h"
 #include "net/socket_segment_source.h"
 #include "storage/checkpoint.h"
@@ -278,9 +279,10 @@ void Cluster::Start() {
 
   if (options_.flush_interval.count() > 0 && shipping_ != nullptr) {
     flusher_ = std::thread([this] {
+      Ticker ticker(options_.flush_interval);
       while (!stop_flusher_.load(std::memory_order_acquire)) {
         shipping_->collector.Flush();
-        std::this_thread::sleep_for(options_.flush_interval);
+        ticker.Wait();
       }
     });
   }

@@ -3,6 +3,7 @@
 #if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
+#include <sys/prctl.h>
 #endif
 
 namespace c5 {
@@ -30,6 +31,22 @@ void JoinAll(std::vector<std::thread>& threads) {
     if (t.joinable()) t.join();
   }
   threads.clear();
+}
+
+Ticker::Ticker(std::chrono::nanoseconds period)
+    : period_(period), next_(std::chrono::steady_clock::now() + period) {
+#if defined(__linux__)
+  (void)prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
+}
+
+void Ticker::Wait() {
+  const auto now = std::chrono::steady_clock::now();
+  if (next_ <= now) {
+    next_ = now + period_;  // fell behind: re-anchor, no catch-up burst
+  }
+  std::this_thread::sleep_until(next_);
+  next_ += period_;
 }
 
 }  // namespace c5

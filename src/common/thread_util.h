@@ -1,6 +1,7 @@
 #ifndef C5_COMMON_THREAD_UTIL_H_
 #define C5_COMMON_THREAD_UTIL_H_
 
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -16,6 +17,24 @@ unsigned HardwareConcurrency();
 
 // Joins every thread in the vector (skipping non-joinable ones) and clears it.
 void JoinAll(std::vector<std::thread>& threads);
+
+// Paces a periodic thread (flusher, snapshotter, visibility publisher) to
+// its interval. Each Wait() sleeps to an absolute deadline one period after
+// the previous one, so the work done between waits does not stretch the
+// period; a thread that falls behind re-anchors one period from now rather
+// than bursting to catch up. Construct it on the thread that waits: it sets
+// that thread's timer slack to 1 ns (Linux), because the default 50 us
+// slack alone would stretch the sub-millisecond flush and snapshot periods.
+class Ticker {
+ public:
+  explicit Ticker(std::chrono::nanoseconds period);
+
+  void Wait();
+
+ private:
+  const std::chrono::nanoseconds period_;
+  std::chrono::steady_clock::time_point next_;
+};
 
 }  // namespace c5
 

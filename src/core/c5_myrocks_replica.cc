@@ -6,6 +6,7 @@
 #include "common/flat_map.h"
 #include "common/histogram.h"
 #include "common/spin_lock.h"
+#include "common/thread_util.h"
 
 namespace c5::core {
 
@@ -365,6 +366,7 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
 }
 
 void C5MyRocksReplica::SnapshotterLoop() {
+  Ticker ticker(options_.snapshot_interval);
   int iter = 0;
   while (true) {
     // Choose n: everything strictly below MinUnapplied is applied. Blocking
@@ -407,7 +409,7 @@ void C5MyRocksReplica::SnapshotterLoop() {
       }
       break;
     }
-    std::this_thread::sleep_for(options_.snapshot_interval);
+    ticker.Wait();
   }
 }
 

@@ -6,6 +6,7 @@
 #include "common/clock.h"
 #include "common/flat_map.h"
 #include "common/histogram.h"
+#include "common/thread_util.h"
 
 namespace c5::core {
 
@@ -119,9 +120,18 @@ void C5Replica::SchedulerLoop(log::SegmentSource* source) {
         seg->MaxTimestamp() > watermark_.load(std::memory_order_relaxed)) {
       watermark_.store(seg->MaxTimestamp(), std::memory_order_release);
     }
+    // AFTER the watermark store: a parked worker must wake to follow the
+    // watermark even when this segment gave it no batch, or its stale c'
+    // pins min(c') and visibility stops.
+    work_event_.NotifyAll();
   }
   scheduler_done_.store(true, std::memory_order_release);
+  CloseWorkerQueues();
+}
+
+void C5Replica::CloseWorkerQueues() {
   for (auto& w : workers_) w->queue.Close();
+  work_event_.NotifyAll();
 }
 
 void C5Replica::FlushCounts(LocalCounts& counts) {
@@ -180,7 +190,7 @@ void C5Replica::WorkerLoop(int idx) {
   };
   // Fleet-model accounting: credit this batch's applied records and
   // thread-CPU time to the worker, then flush the stats deltas. Idle
-  // spinning between batches is deliberately outside the measured window.
+  // time between batches is deliberately outside the measured window.
   auto account_batch = [&me, &counts, this](std::int64_t cpu_start) {
     me.cpu_ns.fetch_add(
         static_cast<std::uint64_t>(ThreadCpuNowNanos() - cpu_start),
@@ -216,7 +226,13 @@ void C5Replica::WorkerLoop(int idx) {
         batch_opt = me.queue.TryPop();
         if (!batch_opt.has_value()) break;
       } else {
-        SpinBackoff(idle_spins);
+        // Park until the scheduler hands over a batch, moves the watermark
+        // this idle worker publishes as its c', or closes the queue. Each
+        // of those is followed by a work_event_ notify.
+        work_event_.Await([&] {
+          return me.queue.SizeApprox() != 0 || me.queue.closed() ||
+                 watermark_.load(std::memory_order_acquire) != idle_floor;
+        });
         continue;
       }
     }
@@ -286,6 +302,7 @@ void C5Replica::WorkerLoop(int idx) {
 }
 
 void C5Replica::SnapshotterLoop() {
+  Ticker ticker(options_.snapshot_interval);
   int iter = 0;
   while (true) {
     // n = min over workers of c', clamped by the scheduler's watermark
@@ -338,7 +355,7 @@ void C5Replica::SnapshotterLoop() {
       }
       break;
     }
-    std::this_thread::sleep_for(options_.snapshot_interval);
+    ticker.Wait();
   }
 }
 
@@ -364,7 +381,7 @@ void C5Replica::WaitUntilCaughtUp() {
 
 void C5Replica::Stop() {
   shutdown_.store(true, std::memory_order_release);
-  for (auto& w : workers_) w->queue.Close();
+  CloseWorkerQueues();
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
   }

@@ -27,6 +27,7 @@
 
 #include "storage/checkpoint.h"
 
+#include "common/event_count.h"
 #include "common/spin_lock.h"
 #include "common/thread_annotations.h"
 #include "common/spsc_queue.h"
@@ -92,7 +93,7 @@ class C5Replica : public replica::ReplicaBase {
   // (BENCH_replay.json worker_scaling): records applied by the worker and
   // the CPU nanoseconds its batch processing consumed
   // (CLOCK_THREAD_CPUTIME_ID deltas, so co-scheduling on a small host does
-  // not charge a worker for its peers' time). Idle spinning between batches
+  // not charge a worker for its peers' time). Idle time between batches
   // is excluded — the numbers answer "what does this worker's share of the
   // apply work cost on dedicated hardware".
   struct WorkerLoad {
@@ -150,6 +151,8 @@ class C5Replica : public replica::ReplicaBase {
   };
 
   void SchedulerLoop(log::SegmentSource* source);
+  // Closes every worker queue and wakes parked workers (end of log, Stop).
+  void CloseWorkerQueues();
   void WorkerLoop(int idx);
   void SnapshotterLoop();
 
@@ -179,6 +182,9 @@ class C5Replica : public replica::ReplicaBase {
 
   std::vector<std::unique_ptr<WorkerState>> workers_;
   alignas(64) std::atomic<Timestamp> watermark_{0};
+  // Idle workers park here; the scheduler notifies once per segment (after
+  // the watermark store) and on close.
+  EventCount work_event_;
   std::atomic<Timestamp> last_checkpoint_ts_{0};
   std::atomic<bool> scheduler_done_{false};
   std::atomic<int> workers_running_{0};

@@ -209,6 +209,12 @@ void OnlineLogCollector::LogCommit(RecordSpan records) {
 }
 
 void OnlineLogCollector::Flush() {
+  {
+    // Idle: nothing to release or ship, so skip the release-horizon scan
+    // (it reads every active-transaction slot) on the periodic flusher.
+    MutexLock lock(mu_);
+    if (pending_.empty() && (open_ == nullptr || open_->empty())) return;
+  }
   const Timestamp horizon =
       horizon_fn_ ? horizon_fn_() : kMaxTimestamp;
   MutexLock lock(mu_);

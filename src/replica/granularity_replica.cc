@@ -1,5 +1,7 @@
 #include "replica/granularity_replica.h"
 
+#include "common/thread_util.h"
+
 namespace c5::replica {
 
 const char* ToString(Granularity g) {
@@ -157,6 +159,7 @@ void GranularityReplica::FinishWrites(std::uint64_t n) {
 }
 
 void GranularityReplica::VisibilityLoop() {
+  Ticker ticker(options_.visibility_interval);
   while (true) {
     const Timestamp vis = prefix_.Advance();
     if (vis != kInvalidTimestamp) {
@@ -169,7 +172,7 @@ void GranularityReplica::VisibilityLoop() {
             final_record_count_.load(std::memory_order_acquire)) {
       break;
     }
-    std::this_thread::sleep_for(options_.visibility_interval);
+    ticker.Wait();
   }
   const Timestamp vis = prefix_.Advance();
   if (vis != kInvalidTimestamp) {

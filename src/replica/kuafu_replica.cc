@@ -3,6 +3,7 @@
 #include <unordered_set>
 
 #include "common/clock.h"
+#include "common/thread_util.h"
 
 namespace c5::replica {
 
@@ -138,6 +139,7 @@ void KuaFuReplica::ReleaseDependents(TxnNode* node) {
 }
 
 void KuaFuReplica::VisibilityLoop() {
+  Ticker ticker(options_.visibility_interval);
   while (true) {
     const Timestamp vis = prefix_.Advance();
     if (vis != kInvalidTimestamp) {
@@ -150,7 +152,7 @@ void KuaFuReplica::VisibilityLoop() {
             final_txn_count_.load(std::memory_order_acquire)) {
       break;
     }
-    std::this_thread::sleep_for(options_.visibility_interval);
+    ticker.Wait();
   }
   // Final sweep so the last transactions become visible.
   const Timestamp vis = prefix_.Advance();

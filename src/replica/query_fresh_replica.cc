@@ -1,5 +1,7 @@
 #include "replica/query_fresh_replica.h"
 
+#include <chrono>
+
 #include "common/spin_lock.h"
 
 namespace c5::replica {
@@ -155,8 +157,10 @@ void QueryFreshReplica::InstantiateAll(Timestamp ts) {
 }
 
 void QueryFreshReplica::WaitUntilCaughtUp() {
-  int spins = 0;
-  while (!ingest_done_.load(std::memory_order_acquire)) SpinBackoff(spins);
+  // A sleep poll, not a spin: the wait lasts the whole ingest.
+  while (!ingest_done_.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
   if (!options_.leave_lazy_after_catchup) {
     InstantiateAll(kMaxTimestamp);
   }

@@ -1,6 +1,7 @@
 #include "replica/single_thread_replica.h"
 
-#include "common/spin_lock.h"
+#include <chrono>
+#include <thread>
 
 namespace c5::replica {
 
@@ -25,8 +26,10 @@ void SingleThreadReplica::Run(log::SegmentSource* source) {
 }
 
 void SingleThreadReplica::WaitUntilCaughtUp() {
-  int spins = 0;
-  while (!done_.load(std::memory_order_acquire)) SpinBackoff(spins);
+  // A sleep poll, not a spin: the wait lasts the whole replay.
+  while (!done_.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
 }
 
 void SingleThreadReplica::Stop() {

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
 #include <set>
+#include <thread>
 #include <unordered_map>
+#include <vector>
 
+#include "common/spsc_queue.h"
 #include "core/c5_myrocks_replica.h"
 #include "core/c5_replica.h"
 #include "log/segment_source.h"
@@ -215,6 +220,67 @@ TEST(C5WatermarkTest, WatermarkTracksScheduledMax) {
   replica.WaitUntilCaughtUp();
   EXPECT_EQ(replica.watermark(), run.log.MaxTimestamp());
   replica.Stop();
+}
+
+TEST(C5WatermarkTest, ParkedIdleWorkersFollowTheWatermark) {
+  // Every record writes ONE row, so one worker gets every batch and the
+  // other three sit idle, parked. An idle worker publishes the watermark
+  // as its c'; if it slept through a watermark move, its stale c' would pin
+  // min(c') and the visible snapshot would stop. Segments arrive >= 1 ms
+  // apart, well past the workers' spin window, and each must become
+  // visible promptly.
+  constexpr int kSegments = 40;
+  constexpr int kTxnsPerSegment = 4;
+  storage::Database backup;
+  const TableId table = backup.CreateTable("t", 16);
+  SpscQueue<log::LogSegment*> channel(64);
+  log::ChannelSegmentSource source(&channel);
+  C5Replica replica(&backup, C5Replica::Options{.num_workers = 4});
+  replica.Start(&source);
+
+  std::vector<std::unique_ptr<log::LogSegment>> segments;
+  const std::string value = "v";
+  Timestamp ts = 0;
+  std::uint64_t seq = 0;
+  for (int s = 0; s < kSegments; ++s) {
+    auto seg = std::make_unique<log::LogSegment>(seq);
+    for (int t = 0; t < kTxnsPerSegment; ++t) {
+      log::LogRecord rec;
+      rec.table = table;
+      rec.op = ts == 0 ? OpType::kInsert : OpType::kUpdate;
+      rec.row = 0;
+      rec.key = 0;
+      rec.commit_ts = ++ts;
+      rec.last_in_txn = true;
+      rec.value = value;
+      seg->Append(rec);
+    }
+    seq += seg->size();
+    const Timestamp seg_max = seg->MaxTimestamp();
+    segments.push_back(std::move(seg));
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_TRUE(channel.Push(segments.back().get()));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+    while (replica.VisibleTimestamp() < seg_max &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    const Timestamp visible = replica.VisibleTimestamp();
+    if (visible < seg_max) {
+      channel.Close();
+      replica.Stop();
+      FAIL() << "segment " << s << " (max ts " << seg_max
+             << ") not visible within 100 ms; visible = " << visible;
+    }
+  }
+  channel.Close();
+  replica.WaitUntilCaughtUp();
+  replica.Stop();
+  EXPECT_EQ(replica.VisibleTimestamp(), ts);
+  EXPECT_EQ(replica.stats().applied_writes.load(),
+            static_cast<std::uint64_t>(kSegments * kTxnsPerSegment));
 }
 
 TEST(C5StressTest, ManyWorkersHighContention) {

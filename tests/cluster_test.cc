@@ -9,6 +9,7 @@
 #include "api/cluster.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <array>
@@ -336,6 +337,47 @@ TEST(ClusterTest, PromotedSingleBackupServesFreshReads) {
     EXPECT_EQ(workload::DecodeIntValue(v), 100 + round);
   }
   cluster.Shutdown();
+}
+
+// Process CPU time (user + system, every thread) in nanoseconds.
+std::int64_t ProcessCpuNanos() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto ns = [](const timeval& tv) {
+    return static_cast<std::int64_t>(tv.tv_sec) * 1'000'000'000 +
+           static_cast<std::int64_t>(tv.tv_usec) * 1'000;
+  };
+  return ns(ru.ru_utime) + ns(ru.ru_stime);
+}
+
+TEST(ClusterTest, IdleClusterDoesNotSpin) {
+  // A cluster with nothing to replicate must leave its cores to the reads
+  // it exists to serve: the ship-server drain thread, the replay
+  // schedulers and the C5 workers park until work arrives, and only the
+  // periodic flusher and snapshotters wake, briefly. One backup is fed over
+  // loopback TCP, the other through an in-process channel.
+  Cluster cluster(ClusterOptions{}
+                      .WithWorkers(2)
+                      .AddBackup({.protocol = core::ProtocolKind::kC5,
+                                  .via_socket = true})
+                      .AddBackup({.protocol = core::ProtocolKind::kC5MyRocks}));
+  cluster.CreateTable("kv");
+  cluster.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // settle
+
+  const std::int64_t cpu0 = ProcessCpuNanos();
+  const auto wall0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const std::int64_t cpu_ns = ProcessCpuNanos() - cpu0;
+  const std::int64_t wall_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - wall0)
+          .count();
+  cluster.Shutdown();
+  EXPECT_LT(static_cast<double>(cpu_ns), 0.25 * static_cast<double>(wall_ns))
+      << "idle cluster used " << static_cast<double>(cpu_ns) / 1e6
+      << " ms of CPU over " << static_cast<double>(wall_ns) / 1e6
+      << " ms of wall time";
 }
 
 // BackupNode (the standalone half of the façade): an in-place restart arms

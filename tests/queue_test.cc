@@ -1,15 +1,43 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <numeric>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/mpmc_queue.h"
 #include "common/spsc_queue.h"
 
 namespace c5 {
 namespace {
+
+using std::chrono::milliseconds;
+
+// Long enough that a waiter on the other side is certainly past its spin
+// window (EventCount::kSpinsBeforePark pauses) and parked.
+constexpr milliseconds kParkDelay{50};
+
+// Busy-waits ~50 us: holds a ping-pong partner past its spin window without
+// paying a sleep's timer latency.
+void StallPastSpinWindow() {
+  const std::int64_t until = MonotonicNowNanos() + 50'000;
+  while (MonotonicNowNanos() < until) {
+  }
+}
+
+// Polls `done` until it holds or `budget` passes.
+bool WaitFor(const std::atomic<bool>& done, milliseconds budget) {
+  const auto deadline = std::chrono::steady_clock::now() + budget;
+  while (!done.load(std::memory_order_acquire)) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  return true;
+}
 
 TEST(SpscQueueTest, PushPopSingleThread) {
   SpscQueue<int> q(8);
@@ -66,6 +94,111 @@ TEST(SpscQueueTest, ConcurrentTransferPreservesOrderAndContent) {
 
   ASSERT_EQ(received.size(), static_cast<std::size_t>(kItems));
   for (int i = 0; i < kItems; ++i) ASSERT_EQ(received[i], i);
+}
+
+TEST(SpscQueueTest, ParkedPopWakesOnPush) {
+  SpscQueue<int> q(8);
+  std::atomic<bool> done{false};
+  std::optional<int> got;
+  std::int64_t pop_cpu_ns = 0;
+  std::thread consumer([&] {
+    const std::int64_t cpu0 = ThreadCpuNowNanos();
+    got = q.Pop();
+    pop_cpu_ns = ThreadCpuNowNanos() - cpu0;
+    done.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(kParkDelay);
+  EXPECT_FALSE(done.load(std::memory_order_acquire));
+  ASSERT_TRUE(q.Push(42));
+  const bool woke = WaitFor(done, milliseconds(5000));
+  if (!woke) q.Close();  // unblock the consumer before failing
+  consumer.join();
+  ASSERT_TRUE(woke) << "a Push did not wake the parked Pop";
+  EXPECT_EQ(got, std::optional<int>(42));
+  // Parked, not spinning: a yield-spinning Pop burns the whole delay.
+  EXPECT_LT(pop_cpu_ns, kParkDelay.count() * 1'000'000 / 5)
+      << "Pop spun instead of parking";
+}
+
+TEST(SpscQueueTest, ParkedPopWakesOnClose) {
+  SpscQueue<int> q(8);
+  std::atomic<bool> done{false};
+  std::optional<int> got = 7;
+  std::thread consumer([&] {
+    got = q.Pop();
+    done.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(kParkDelay);
+  EXPECT_FALSE(done.load(std::memory_order_acquire));
+  q.Close();
+  const bool woke = WaitFor(done, milliseconds(5000));
+  if (!woke) (void)q.TryPush(0);  // unblock the consumer before failing
+  consumer.join();
+  ASSERT_TRUE(woke) << "Close did not wake the parked Pop";
+  EXPECT_FALSE(got.has_value());
+}
+
+TEST(SpscQueueTest, FullQueuePushParksAndWakesOnPop) {
+  SpscQueue<int> q(2);
+  ASSERT_TRUE(q.TryPush(1));
+  ASSERT_TRUE(q.TryPush(2));
+  std::atomic<bool> done{false};
+  bool pushed = false;
+  std::int64_t push_cpu_ns = 0;
+  std::thread producer([&] {
+    const std::int64_t cpu0 = ThreadCpuNowNanos();
+    pushed = q.Push(3);
+    push_cpu_ns = ThreadCpuNowNanos() - cpu0;
+    done.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(kParkDelay);
+  EXPECT_FALSE(done.load(std::memory_order_acquire));
+  EXPECT_EQ(q.TryPop(), std::optional<int>(1));
+  const bool woke = WaitFor(done, milliseconds(5000));
+  if (!woke) q.Close();  // unblock the producer before failing
+  producer.join();
+  ASSERT_TRUE(woke) << "a Pop did not wake the parked Push";
+  EXPECT_TRUE(pushed);
+  EXPECT_LT(push_cpu_ns, kParkDelay.count() * 1'000'000 / 5)
+      << "Push spun instead of parking";
+  EXPECT_EQ(q.TryPop(), std::optional<int>(2));
+  EXPECT_EQ(q.TryPop(), std::optional<int>(3));
+}
+
+TEST(SpscQueueTest, PingPongThroughParkedSidesLosesNoWakeup) {
+  // Two threads bounce a token through two queues. Every 64th hop each
+  // side stalls past the other's spin window, so both sides park and wake
+  // over and over: a lost wake-up strands the token and the run times out.
+  constexpr int kRoundTrips = 200'000;
+  SpscQueue<int> ping(4);
+  SpscQueue<int> pong(4);
+  std::atomic<bool> done{false};
+  std::atomic<int> completed{0};
+  std::thread echo([&] {
+    while (auto v = ping.Pop()) {
+      if (*v % 64 == 0) StallPastSpinWindow();
+      if (!pong.Push(*v)) return;
+    }
+  });
+  std::thread pinger([&] {
+    for (int i = 0; i < kRoundTrips; ++i) {
+      if (i % 64 == 32) StallPastSpinWindow();
+      if (!ping.Push(i)) return;
+      const std::optional<int> v = pong.Pop();
+      if (v != std::optional<int>(i)) return;
+      completed.store(i + 1, std::memory_order_relaxed);
+    }
+    done.store(true, std::memory_order_release);
+  });
+  const bool finished = WaitFor(done, milliseconds(120'000));
+  // Closing both queues unblocks whichever side is stuck.
+  ping.Close();
+  pong.Close();
+  pinger.join();
+  echo.join();
+  ASSERT_TRUE(finished) << "stalled after " << completed.load()
+                        << " round trips";
+  EXPECT_EQ(completed.load(), kRoundTrips);
 }
 
 TEST(MpmcQueueTest, PushPopBasic) {
