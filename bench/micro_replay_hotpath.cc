@@ -1,5 +1,6 @@
 // Micro-benchmark for the replay hot path: version install, prev-checked
-// install, GC retirement, and an end-to-end C5 replay of a synthesized log.
+// install, GC retirement, an end-to-end C5 replay of a synthesized log, and
+// the wire codec every shipped segment passes through twice.
 // Reports throughput, sampled p50/p99 latency, and allocations/op from the
 // bench-wide counting hook — the numbers BENCH_replay.json tracks across PRs
 // (see docs/PERFORMANCE.md for methodology).
@@ -9,9 +10,11 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/crc32c.h"
 #include "common/histogram.h"
 #include "core/c5_replica.h"
 #include "log/log_segment.h"
+#include "log/wire.h"
 #include "storage/database.h"
 #include "storage/table.h"
 
@@ -236,6 +239,68 @@ WorkerScalingPoint BenchWorkerScaling(log::Log& log, int workers) {
   return pt;
 }
 
+// Wire codec: encode and decode of one shipped segment (40 records with
+// 100-byte values, the shape of a busy loopback segment), plus raw Crc32c
+// throughput. Each frame is checksummed once on encode and once on decode.
+constexpr int kWireRecords = 40;
+constexpr std::size_t kWireValueBytes = 100;
+
+struct WireCodecResult {
+  std::uint64_t frame_bytes = 0;
+  double encode_ns = 0;
+  double decode_ns = 0;
+  double crc32c_gbps = 0;
+};
+
+WireCodecResult BenchWireCodec(std::uint64_t iters) {
+  const std::string value(kWireValueBytes, 'w');
+  log::LogSegment seg(/*base_seq=*/0);
+  for (int i = 0; i < kWireRecords; ++i) {
+    log::LogRecord rec;
+    rec.table = 0;
+    rec.op = OpType::kUpdate;
+    rec.row = static_cast<RowId>(i);
+    rec.key = static_cast<RowId>(i);
+    rec.commit_ts = static_cast<Timestamp>(i / 4 + 1);
+    rec.last_in_txn = i % 4 == 3;
+    rec.value = value;
+    seg.Append(rec);
+  }
+  WireCodecResult r;
+  std::string bytes;
+  Stopwatch sw;
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    bytes.clear();
+    log::EncodeSegment(seg, &bytes);
+  }
+  r.encode_ns = static_cast<double>(sw.ElapsedNanos()) / iters;
+  r.frame_bytes = bytes.size();
+
+  std::uint64_t decoded = 0;
+  sw.Restart();
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    std::size_t consumed = 0;
+    std::unique_ptr<log::LogSegment> out;
+    if (log::DecodeSegment(bytes, &consumed, &out).ok()) decoded += out->size();
+  }
+  r.decode_ns = static_cast<double>(sw.ElapsedNanos()) / iters;
+  if (decoded != iters * kWireRecords) std::fprintf(stderr, "decode failed\n");
+
+  // Chained seeds keep every checksum live; a 64 KiB buffer stays in cache.
+  const std::string buf(64 << 10, 'c');
+  std::uint32_t crc = 0;
+  sw.Restart();
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    crc = Crc32c(buf.data(), buf.size(), crc);
+  }
+  const double secs = sw.ElapsedSeconds();
+  r.crc32c_gbps = secs > 0 ? static_cast<double>(buf.size()) * iters /
+                                 secs / 1e9
+                           : 0;
+  if (crc == 0x12345678u) std::fprintf(stderr, "(unlikely crc)\n");
+  return r;
+}
+
 }  // namespace
 }  // namespace c5
 
@@ -270,6 +335,14 @@ int main(int argc, char** argv) {
       "replay_c5", replay.WritesPerSec(), replay.AllocsPerWrite(),
       static_cast<unsigned long long>(replay.apply_p50_ns),
       static_cast<unsigned long long>(replay.apply_p99_ns));
+
+  const auto wire = c5::BenchWireCodec(ops / 20);
+  c5::bench::PrintRow(
+      "%-22s encode %7.0f ns  decode %7.0f ns  (%llu B frame)  "
+      "crc32c %6.2f GB/s (%s)",
+      "wire_codec", wire.encode_ns, wire.decode_ns,
+      static_cast<unsigned long long>(wire.frame_bytes), wire.crc32c_gbps,
+      c5::internal::Crc32cIsHardware() ? "sse4.2" : "table");
 
   // Worker scaling at 1/2/4 workers over the same log (fleet model:
   // records per max-worker CPU second; see BenchWorkerScaling above and
@@ -314,6 +387,18 @@ int main(int argc, char** argv) {
                "fleet: aggregate = records / max per-worker CPU-s "
                "(CLOCK_THREAD_CPUTIME_ID); scheduler stage excluded")
           .Raw("worker_scaling", c5::bench::JsonArray(scaling_json))
+          .Raw("wire_codec",
+               c5::bench::JsonWriter()
+                   .Int("records", c5::kWireRecords)
+                   .Int("value_bytes", c5::kWireValueBytes)
+                   .Int("frame_bytes", wire.frame_bytes)
+                   .Num("encode_ns", wire.encode_ns)
+                   .Num("decode_ns", wire.decode_ns)
+                   .Num("crc32c_gbps", wire.crc32c_gbps)
+                   .Str("crc32c_path", c5::internal::Crc32cIsHardware()
+                                           ? "sse4.2"
+                                           : "table")
+                   .Object())
           .Object();
   if (!c5::bench::WriteJsonFile(json_path, json)) return 1;
   return 0;

@@ -84,6 +84,9 @@ echo "== bench_fig9_read_throughput (scale $scale)"
   --require micro_replay_hotpath.worker_scaling.workers \
   --require micro_replay_hotpath.worker_scaling.aggregate_records_per_cpu_s \
   --require micro_replay_hotpath.worker_scaling.speedup_vs_1 \
+  --require micro_replay_hotpath.wire_codec.encode_ns \
+  --require micro_replay_hotpath.wire_codec.decode_ns \
+  --require micro_replay_hotpath.wire_codec.crc32c_gbps \
   --require fig6.cases.c5.txns_per_sec \
   --require fig6.cases.kuafu.apply_p99_ns
 echo "wrote $out"

@@ -84,14 +84,16 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 
 # Multi-core repeat lane: the concurrency-sensitive suites (replay pipelines,
 # DST, the lock-free skiplist, scans over live replicas, socket shipping,
-# the park/wake hand-offs of the SPSC queues and EventCount) run 20 times
+# the park/wake hand-offs of the SPSC queues and EventCount, checkpoints
+# written beside worker-published visibility, the wire codec and its
+# hardware/portable CRC32C) run 20 times
 # each, stopping at the first failure. A race that fires one
 # run in five does not survive this lane. The core count comes first: a
 # pass on one core is no evidence about a race.
 echo "check.sh: repeat lane, nproc=$(nproc 2>/dev/null || echo unknown)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
   --repeat until-fail:20 \
-  -R 'dst|property|replica|c5_core|cluster|ordered_index|htap|net|queue|event_count'
+  -R 'dst|property|replica|c5_core|cluster|ordered_index|htap|net|queue|event_count|checkpoint|wire'
 
 "$repo_root/scripts/bench.sh" --quick "$build_dir"
 
@@ -121,12 +123,14 @@ run_static_lane
 # TSan also runs the replay suites (replica_test, property_test,
 # c5_core_test) and the park/wake primitives (queue_test,
 # event_count_test): every hand-off between a parked thread and the thread
-# that wakes it must still carry a happens-before edge.
+# that wakes it must still carry a happens-before edge. checkpoint_test
+# runs the C5 maintenance thread writing checkpoints while the workers
+# advance the visible snapshot themselves.
 tsan_dir="${build_dir}-tsan"
 cmake -B "$tsan_dir" -S "$repo_root" -DC5_SANITIZE=thread >/dev/null
 cmake --build "$tsan_dir" -j "$jobs" --target dst_test cluster_test net_test \
   ordered_index_test htap_scan_test queue_test event_count_test \
-  c5_core_test replica_test property_test
+  c5_core_test replica_test property_test checkpoint_test
 C5_DST_SEED_COUNT=16 "$tsan_dir/dst_test"
 "$tsan_dir/cluster_test"
 "$tsan_dir/net_test"
@@ -137,6 +141,7 @@ C5_DST_SEED_COUNT=16 "$tsan_dir/dst_test"
 "$tsan_dir/c5_core_test"
 "$tsan_dir/replica_test"
 "$tsan_dir/property_test"
+"$tsan_dir/checkpoint_test"
 
 asan_dir="${build_dir}-asan"
 cmake -B "$asan_dir" -S "$repo_root" -DC5_SANITIZE=address >/dev/null

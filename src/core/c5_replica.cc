@@ -30,7 +30,9 @@ void C5Replica::Start(log::SegmentSource* source) {
   for (int i = 0; i < options_.num_workers; ++i) {
     threads_.emplace_back([this, i] { WorkerLoop(i); });
   }
-  threads_.emplace_back([this] { SnapshotterLoop(); });
+  if (options_.gc_every > 0 || Checkpointing()) {
+    threads_.emplace_back([this] { MaintenanceLoop(); });
+  }
 }
 
 C5Replica::Batch* C5Replica::AcquireBatch() {
@@ -185,8 +187,11 @@ void C5Replica::WorkerLoop(int idx) {
   std::uint64_t apply_tick = 0;
   LocalCounts counts;
 
-  auto publish_c_prime = [&me](Timestamp floor) {
-    me.c_prime.store(floor, std::memory_order_release);
+  // Every c' store is followed by a visibility advance: the workers are
+  // the aggregator (see AdvanceVisible).
+  auto publish_c_prime = [&me, this](Timestamp floor) {
+    me.c_prime.store(floor, std::memory_order_seq_cst);
+    AdvanceVisible();
   };
   // Fleet-model accounting: credit this batch's applied records and
   // thread-CPU time to the worker, then flush the stats deltas. Idle
@@ -201,6 +206,7 @@ void C5Replica::WorkerLoop(int idx) {
   };
 
   int idle_spins = 0;
+  bool end_of_log = false;
   while (true) {
     // Read the watermark BEFORE checking the queue (see SchedulerLoop).
     const Timestamp idle_floor = watermark_.load(std::memory_order_acquire);
@@ -222,6 +228,9 @@ void C5Replica::WorkerLoop(int idx) {
       }
       publish_c_prime(idle_floor);
       if (me.queue.closed()) {
+        // Read before the re-check: once the scheduler is done, every batch
+        // it will ever push is already visible to the TryPop below.
+        end_of_log = scheduler_done_.load(std::memory_order_acquire);
         // Re-check after observing closure (a batch may have raced in).
         batch_opt = me.queue.TryPop();
         if (!batch_opt.has_value()) break;
@@ -242,7 +251,7 @@ void C5Replica::WorkerLoop(int idx) {
     // ONE c' bump per batch — the epoch-batched visibility publication.
     // Everything this worker might still execute is above the batch floor;
     // older deferred writes (if any) take precedence. Published BEFORE the
-    // first apply so the snapshotter can never observe a torn batch: c'
+    // first apply so no visibility advance can observe a torn batch: c'
     // only lags the true floor, never exceeds it.
     publish_c_prime(deferred.empty()
                         ? batch->floor
@@ -282,79 +291,61 @@ void C5Replica::WorkerLoop(int idx) {
     ReleaseBatch(batch);
   }
 
-  // Drain any remaining deferred writes (their predecessors are owned by
-  // other workers and will land).
-  int drain_spins = 0;
-  while (!deferred.empty()) {
-    const std::int64_t cpu0 = ThreadCpuNowNanos();
-    const bool progress = RetryDeferred(deferred, counts);
-    account_batch(cpu0);
-    if (progress) drain_spins = 0;
-    if (!deferred.empty()) {
-      publish_c_prime(deferred.front()->commit_ts - 1);
-      SpinBackoff(drain_spins);
-    }
-  }
+  // The loop only exits with no deferred writes left. At end of log this
+  // worker will execute nothing more, so its c' stops constraining the
+  // snapshot, and the last worker out publishes the whole log. A Stop()
+  // mid-stream keeps the idle floor published above: the scheduler may
+  // still push batches this worker will never apply.
   MergeApplyLatency(apply_latency);
-  me.c_prime.store(kMaxTimestamp, std::memory_order_release);
-  me.finished.store(true, std::memory_order_release);
+  if (end_of_log) publish_c_prime(kMaxTimestamp);
   workers_running_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-void C5Replica::SnapshotterLoop() {
+void C5Replica::AdvanceVisible() {
+  // n = min(watermark, min over workers of c') (§7.2). The c' loads pair
+  // with the seq_cst c' stores: two workers that publish at the same time
+  // cannot both miss the other's store, so the later one's scan sees both
+  // and the snapshot never stalls with every worker parked.
+  Timestamp n = watermark_.load(std::memory_order_seq_cst);
+  for (const auto& w : workers_) {
+    const Timestamp cp = w->c_prime.load(std::memory_order_seq_cst);
+    if (cp < n) n = cp;
+  }
+  if (n > VisibleTimestamp()) {
+    PublishVisible(n);
+    stats_.snapshots_taken.fetch_add(1, std::memory_order_relaxed);
+    if (lag_ != nullptr) lag_->OnVisible(n);
+  }
+}
+
+void C5Replica::MaintenanceLoop() {
+  const bool checkpointing = Checkpointing();
+  auto checkpoint = [this] {
+    const Timestamp c = VisibleTimestamp();
+    if (c > last_checkpoint_ts_.load(std::memory_order_relaxed) &&
+        storage::WriteCheckpoint(*db_, c, options_.checkpoint_path).ok()) {
+      last_checkpoint_ts_.store(c, std::memory_order_release);
+    }
+  };
+  auto every = [](std::uint64_t tick, int n) {
+    return n > 0 && tick % static_cast<std::uint64_t>(n) == 0;
+  };
   Ticker ticker(options_.snapshot_interval);
-  int iter = 0;
-  while (true) {
-    // n = min over workers of c', clamped by the scheduler's watermark
-    // (§7.2: "periodically calculates a new n as the minimum across all c'
-    // and then advances c to n").
-    Timestamp n = watermark_.load(std::memory_order_acquire);
-    for (const auto& w : workers_) {
-      const Timestamp cp = w->c_prime.load(std::memory_order_acquire);
-      if (cp < n) n = cp;
-    }
-    if (n > VisibleTimestamp()) {
-      PublishVisible(n);
-      stats_.snapshots_taken.fetch_add(1, std::memory_order_relaxed);
-      if (lag_ != nullptr) lag_->OnVisible(n);
-    } else if (lag_ != nullptr) {
-      lag_->OnVisible(VisibleTimestamp());
-    }
+  for (std::uint64_t tick = 1;; ++tick) {
+    if (every(tick, options_.gc_every)) db_->CollectGarbage(GcHorizon());
+    if (checkpointing && every(tick, options_.checkpoint_every)) checkpoint();
 
-    ++iter;
-    if (options_.gc_every > 0 && iter % options_.gc_every == 0) {
-      db_->CollectGarbage(GcHorizon());
-    }
-    if (options_.checkpoint_every > 0 && !options_.checkpoint_path.empty() &&
-        iter % options_.checkpoint_every == 0) {
-      const Timestamp c = VisibleTimestamp();
-      if (c > last_checkpoint_ts_.load(std::memory_order_relaxed) &&
-          storage::WriteCheckpoint(*db_, c, options_.checkpoint_path).ok()) {
-        last_checkpoint_ts_.store(c, std::memory_order_release);
-      }
-    }
-
-    if (shutdown_.load(std::memory_order_acquire)) break;
+    // End of log before shutdown: WaitUntilCaughtUp returns as soon as the
+    // last worker has published the whole log, so a Stop() right after it
+    // must still find this branch. A caught-up replica with checkpointing
+    // enabled always leaves a checkpoint at end-of-log: a short replay can
+    // finish before the periodic schedule above ever fires.
     if (scheduler_done_.load(std::memory_order_acquire) &&
         workers_running_.load(std::memory_order_acquire) == 0) {
-      // Final advance: all writes applied, expose the full log.
-      const Timestamp final_ts = watermark_.load(std::memory_order_acquire);
-      if (final_ts > VisibleTimestamp()) {
-        PublishVisible(final_ts);
-        if (lag_ != nullptr) lag_->OnVisible(final_ts);
-      }
-      // A caught-up replica with checkpointing enabled always leaves a
-      // checkpoint at end-of-log: epoch-batched visibility can finish a
-      // short replay before the periodic schedule above ever fires.
-      if (options_.checkpoint_every > 0 && !options_.checkpoint_path.empty()) {
-        const Timestamp c = VisibleTimestamp();
-        if (c > last_checkpoint_ts_.load(std::memory_order_relaxed) &&
-            storage::WriteCheckpoint(*db_, c, options_.checkpoint_path).ok()) {
-          last_checkpoint_ts_.store(c, std::memory_order_release);
-        }
-      }
+      if (checkpointing) checkpoint();
       break;
     }
+    if (shutdown_.load(std::memory_order_acquire)) break;
     ticker.Wait();
   }
 }

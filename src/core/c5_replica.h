@@ -1,4 +1,5 @@
-// C5-Cicada backup: scheduler / workers / snapshotter pipeline (§7.2).
+// C5-Cicada backup: scheduler / workers pipeline (§7.2); the workers
+// advance the visible snapshot themselves.
 //
 // Invariants the pipeline maintains, on which every reader of the backup
 // relies:
@@ -10,8 +11,8 @@
 //    c = min(watermark, min c') never exposes a torn transaction.
 //  * Monotonicity: watermark, c', and the visible snapshot only advance —
 //    read-only transactions observe monotonic prefix consistency.
-//  * Non-blocking reads: the snapshotter advances c without stopping
-//    workers; versions are guarded by storage epochs, never locks.
+//  * Non-blocking reads: advancing c is one atomic store that never stops
+//    a worker; versions are guarded by storage epochs, never locks.
 
 #ifndef C5_CORE_C5_REPLICA_H_
 #define C5_CORE_C5_REPLICA_H_
@@ -57,30 +58,40 @@ namespace c5::core {
 // published c' can only lag the true per-worker floor, never exceed it, so
 // the snapshot the aggregator derives stays a valid prefix point.
 //
-// Snapshotter (the aggregator): periodically advances the current snapshot
-// c to min(watermark, min over workers of c'). Because every write of a
-// transaction carries the transaction's commit timestamp and a worker's c'
-// stays below any batch it has not finished, c always lands on a
-// transaction boundary — monotonic prefix consistency without ever blocking
-// workers (§4.2's current/next/future snapshots realized through version
-// timestamps).
+// Aggregation: the paper's snapshotter "periodically" advances the current
+// snapshot c to min(watermark, min over workers of c'). Here the WORKERS
+// are the aggregator: each one advances c right after every c' it
+// publishes (AdvanceVisible), so a write becomes visible as soon as the
+// worker that applied it finishes its batch, not at the next tick. A
+// period only pays where taking a snapshot blocks writers (C5-MyRocks'
+// §5.2 barrier); here it is one monotone atomic store. Because every write
+// of a transaction carries the transaction's commit timestamp and a
+// worker's c' stays below any batch it has not finished, c always lands on
+// a transaction boundary — monotonic prefix consistency without ever
+// blocking workers (§4.2's current/next/future snapshots realized through
+// version timestamps). The last worker to exit at end of log publishes the
+// whole log.
+//
+// Maintenance: a separate thread, started only when GC or checkpointing is
+// configured, runs them every `snapshot_interval`.
 class C5Replica : public replica::ReplicaBase {
  public:
   struct Options {
     int num_workers = 4;
+    // Tick of the maintenance thread (GC and checkpoints). Visibility does
+    // not wait for it: workers advance the snapshot themselves.
     std::chrono::microseconds snapshot_interval =
         std::chrono::microseconds(100);
-    // If > 0, the snapshotter garbage-collects version chains every
-    // `gc_every` snapshots using the replica's safe horizon.
+    // If > 0, the maintenance thread garbage-collects version chains every
+    // `gc_every` ticks using the replica's safe horizon.
     int gc_every = 0;
-    // If non-empty and checkpoint_every > 0, the snapshotter writes a
-    // consistent checkpoint of the backup (storage/checkpoint.h) at the
-    // current snapshot every `checkpoint_every` snapshot advances. On
-    // restart, load the checkpoint and resume the archived log with
-    // ha::ResumeSegmentSource from the loaded timestamp. The write runs on
-    // the snapshotter thread (it never blocks workers — the multi-version
-    // store keeps the snapshot stable), so very small intervals trade
-    // snapshot freshness for checkpoint recency.
+    // If non-empty and checkpoint_every > 0, the maintenance thread writes
+    // a consistent checkpoint of the backup (storage/checkpoint.h) at the
+    // current snapshot every `checkpoint_every` ticks, and once more at end
+    // of log. On restart, load the checkpoint and resume the archived log
+    // with ha::ResumeSegmentSource from the loaded timestamp. The write
+    // never blocks workers (the multi-version store keeps the snapshot
+    // stable).
     std::string checkpoint_path;
     int checkpoint_every = 0;
     // Initial capacity of the scheduler's flat row -> last-write-ts map.
@@ -141,10 +152,10 @@ class C5Replica : public replica::ReplicaBase {
     explicit WorkerState(std::size_t queue_capacity)
         : queue(queue_capacity) {}
     SpscQueue<Batch*> queue;
-    // c' (§7.2): one writer (the worker), one reader (the snapshotter).
-    // Bumped once per batch (the "local epoch"), not per record.
+    // c' (§7.2): one writer (the worker), read by every worker's
+    // AdvanceVisible. Bumped once per batch (the "local epoch"), not per
+    // record. Stored and loaded seq_cst (see AdvanceVisible).
     alignas(64) std::atomic<Timestamp> c_prime{0};
-    std::atomic<bool> finished{false};
     // Fleet-model load accounting, flushed once per batch.
     std::atomic<std::uint64_t> applied_records{0};
     std::atomic<std::uint64_t> cpu_ns{0};
@@ -154,7 +165,16 @@ class C5Replica : public replica::ReplicaBase {
   // Closes every worker queue and wakes parked workers (end of log, Stop).
   void CloseWorkerQueues();
   void WorkerLoop(int idx);
-  void SnapshotterLoop();
+  // Advances the visible snapshot to min(watermark, min c'). Called by a
+  // worker after every c' it publishes; monotone, so concurrent callers
+  // are safe.
+  void AdvanceVisible();
+  // GC and checkpoints every snapshot_interval; only started when one of
+  // them is configured.
+  void MaintenanceLoop();
+  bool Checkpointing() const {
+    return options_.checkpoint_every > 0 && !options_.checkpoint_path.empty();
+  }
 
   Batch* AcquireBatch();
   void ReleaseBatch(Batch* batch);

@@ -29,6 +29,10 @@ const char* ToString(ProtocolKind kind);
 
 struct ProtocolOptions {
   int num_workers = 4;
+  // Period of the background visibility / maintenance loop. C5: paces only
+  // GC and checkpoints (its workers advance the snapshot themselves).
+  // C5-MyRocks: the §5.2 snapshot period (each snapshot briefly blocks
+  // writers). KuaFu and the granularity baselines: their visibility period.
   std::chrono::microseconds snapshot_interval =
       std::chrono::microseconds(200);
   std::chrono::microseconds snapshot_cost = std::chrono::microseconds(0);

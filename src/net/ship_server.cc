@@ -25,8 +25,10 @@ Status ShipServer::Start() {
 
 void ShipServer::PublishSegment(const log::LogSegment& segment) {
   if (segment.empty()) return;
+  auto bytes = std::make_shared<std::string>();
+  log::EncodeSegment(segment, bytes.get());
   Frame f;
-  log::EncodeSegment(segment, &f.bytes);
+  f.bytes = std::move(bytes);
   f.base = segment.base_seq();
   f.count = segment.size();
   {
@@ -188,7 +190,10 @@ void ShipServer::ClientRxLoop(Client* c) {
 void ShipServer::ClientTxLoop(Client* c) {
   std::uint64_t frames_sent_on_conn = 0;
   for (;;) {
-    std::string to_send;
+    // A segment frame is sent straight from the archive; control frames
+    // (and a corrupted copy, see the fault hooks) are built in `owned`.
+    std::shared_ptr<const std::string> frame;
+    std::string owned;
     bool is_retransmit = false;
     std::uint64_t segment_count = 0;
     {
@@ -207,11 +212,11 @@ void ShipServer::ClientTxLoop(Client* c) {
         const std::uint64_t seq = c->cursor < archive_.size()
                                       ? archive_[c->cursor].base
                                       : end_seq_;
-        EncodeControl(kResyncMagic, seq, &to_send);
+        EncodeControl(kResyncMagic, seq, &owned);
         c->rewound = false;
         ++c->stats.resyncs_sent;
       } else if (c->cursor < archive_.size()) {
-        to_send = archive_[c->cursor].bytes;
+        frame = archive_[c->cursor].bytes;
         segment_count = 1;
         // A frame below this stream's high-water mark is a retransmission
         // (a NAK — or a re-subscribe after reconnect — rewound the cursor).
@@ -220,13 +225,14 @@ void ShipServer::ClientTxLoop(Client* c) {
         ++c->cursor;
       } else {
         // Archive drained and finished: tell the client the log ended.
-        EncodeControl(kEndMagic, end_seq_, &to_send);
+        EncodeControl(kEndMagic, end_seq_, &owned);
         c->end_sent = true;
       }
       c->stats.segments_sent += segment_count;
       if (is_retransmit) c->stats.retransmit_segments += segment_count;
-      c->stats.bytes_sent += to_send.size();
+      c->stats.bytes_sent += frame ? frame->size() : owned.size();
     }
+    const std::string* to_send = frame ? frame.get() : &owned;
 
     // Fault hooks (armed once per server; see Options).
     if (segment_count > 0) {
@@ -235,16 +241,20 @@ void ShipServer::ClientTxLoop(Client* c) {
           frames_sent_on_conn ==
               static_cast<std::uint64_t>(options_.corrupt_frame) + 1 &&
           corrupt_armed_.exchange(false, std::memory_order_relaxed) &&
-          to_send.size() > log::kSegmentHeaderBytes) {
-        to_send[log::kSegmentHeaderBytes] =
-            static_cast<char>(to_send[log::kSegmentHeaderBytes] ^ 0x5A);
+          frame->size() > log::kSegmentHeaderBytes) {
+        // Corrupt a private copy: the archived frame stays intact for the
+        // retransmission and for every other subscriber.
+        owned = *frame;
+        owned[log::kSegmentHeaderBytes] =
+            static_cast<char>(owned[log::kSegmentHeaderBytes] ^ 0x5A);
+        to_send = &owned;
       }
     }
     if (options_.send_delay.count() > 0 && segment_count > 0) {
       std::this_thread::sleep_for(options_.send_delay);
     }
 
-    if (!c->conn.WriteAll(to_send.data(), to_send.size()).ok()) {
+    if (!c->conn.WriteAll(to_send->data(), to_send->size()).ok()) {
       MutexLock lock(mu_);
       c->closing = true;
       c->stats.connected = false;

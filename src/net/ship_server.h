@@ -20,7 +20,8 @@
 // Threading: one accept thread; per client one receiver thread (requests
 // are pipelined — a NAK is acted on while segments are in flight) and one
 // sender thread (streams from the archive cursor, rewinding on NAK). All
-// shared state sits behind one mutex + condvar; sends happen outside it.
+// shared state sits behind one mutex + condvar; sends happen outside it,
+// from the archived frame itself (frames are immutable and shared).
 
 #ifndef C5_NET_SHIP_SERVER_H_
 #define C5_NET_SHIP_SERVER_H_
@@ -110,7 +111,8 @@ class ShipServer {
 
  private:
   struct Frame {
-    std::string bytes;
+    // Shared so a sender streams it without copying or holding mu_.
+    std::shared_ptr<const std::string> bytes;
     std::uint64_t base = 0;
     std::uint64_t count = 0;
   };

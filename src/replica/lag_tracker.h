@@ -20,9 +20,14 @@ namespace c5::replica {
 // commits on the primary and when it is included in the current snapshot"
 // (§6.3).
 //
-// Primary threads RecordCommit() (optionally sampled); the backup's
-// visibility thread calls OnVisible() each time the snapshot advances, which
-// drains all samples now covered and records their lags.
+// Primary threads RecordCommit() (optionally sampled); the backup calls
+// OnVisible() each time the snapshot advances, which drains all samples now
+// covered and records their lags. OnVisible may have concurrent callers (a
+// C5 backup's workers each advance the snapshot); a caller holding an older
+// timestamp just drains less. A sample recorded after its commit_ts is
+// already visible (the committing thread was descheduled past the advance)
+// is recorded at once with zero lag: no later OnVisible may come to drain it
+// once the backup has caught up and gone idle.
 class LagTracker {
  public:
   explicit LagTracker(int sample_every = 1) : sample_every_(sample_every) {}
@@ -38,14 +43,20 @@ class LagTracker {
     }
     const std::int64_t now = MonotonicNowNanos();
     MutexLock lock(mu_);
+    if (commit_ts <= visible_) {
+      hist_.Record(0);
+      return;
+    }
     pending_.push_back(Sample{commit_ts, now});
   }
 
-  // Called by the backup's visibility thread when the snapshot advances to
-  // `visible_ts`. Lags of all covered samples land in the internal histogram.
+  // Called by the backup when the snapshot advances to `visible_ts`; safe
+  // from several threads at once. Lags of all covered samples land in the
+  // internal histogram.
   void OnVisible(Timestamp visible_ts) {
     const std::int64_t now = MonotonicNowNanos();
     MutexLock lock(mu_);
+    if (visible_ts > visible_) visible_ = visible_ts;
     while (!pending_.empty() && pending_.front().commit_ts <= visible_ts) {
       const std::int64_t lag = now - pending_.front().commit_time_nanos;
       hist_.Record(lag < 0 ? 0 : static_cast<std::uint64_t>(lag));
@@ -86,6 +97,7 @@ class LagTracker {
   std::deque<Sample> pending_ C5_GUARDED_BY(mu_);  // commit_ts-ordered
       // (commits are ts-ordered up to scheduling jitter; see note below)
   Histogram hist_ C5_GUARDED_BY(mu_);
+  Timestamp visible_ C5_GUARDED_BY(mu_) = 0;  // highest OnVisible argument
 };
 
 }  // namespace c5::replica

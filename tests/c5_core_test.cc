@@ -15,6 +15,7 @@
 #include "core/c5_myrocks_replica.h"
 #include "core/c5_replica.h"
 #include "log/segment_source.h"
+#include "replica/lag_tracker.h"
 #include "tests/test_util.h"
 #include "workload/synthetic.h"
 
@@ -281,6 +282,123 @@ TEST(C5WatermarkTest, ParkedIdleWorkersFollowTheWatermark) {
   EXPECT_EQ(replica.VisibleTimestamp(), ts);
   EXPECT_EQ(replica.stats().applied_writes.load(),
             static_cast<std::uint64_t>(kSegments * kTxnsPerSegment));
+}
+
+TEST(C5WatermarkTest, WorkersPublishVisibilityWithoutSnapshotter) {
+  // No GC and no checkpoints, so no background thread runs beside the
+  // workers: they alone advance the visible snapshot. Every segment writes
+  // 32 rows, which the scheduler spreads over all 4 workers, so each
+  // segment ends with several workers finishing near-together and then
+  // parking — a lost advance between them would stall visibility for good.
+  // Segments arrive >= 1 ms apart, past the workers' spin window.
+  constexpr int kWorkers = 4;
+  constexpr int kSegments = 40;
+  constexpr RowId kRowsPerSegment = 32;
+  storage::Database backup;
+  const TableId table = backup.CreateTable("t", 64);
+  SpscQueue<log::LogSegment*> channel(64);
+  log::ChannelSegmentSource source(&channel);
+  C5Replica replica(&backup, C5Replica::Options{.num_workers = kWorkers,
+                                                .gc_every = 0});
+  replica.Start(&source);
+
+  std::vector<std::unique_ptr<log::LogSegment>> segments;
+  const std::string value = "v";
+  Timestamp ts = 0;
+  std::uint64_t seq = 0;
+  for (int s = 0; s < kSegments; ++s) {
+    auto seg = std::make_unique<log::LogSegment>(seq);
+    ++ts;  // one transaction per segment, writing every row
+    for (RowId row = 0; row < kRowsPerSegment; ++row) {
+      log::LogRecord rec;
+      rec.table = table;
+      rec.op = s == 0 ? OpType::kInsert : OpType::kUpdate;
+      rec.row = row;
+      rec.key = row;
+      rec.commit_ts = ts;
+      rec.last_in_txn = row + 1 == kRowsPerSegment;
+      rec.value = value;
+      seg->Append(rec);
+    }
+    seq += seg->size();
+    const Timestamp seg_max = seg->MaxTimestamp();
+    segments.push_back(std::move(seg));
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(1 + s % 2));
+    ASSERT_TRUE(channel.Push(segments.back().get()));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+    while (replica.VisibleTimestamp() < seg_max &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    const Timestamp visible = replica.VisibleTimestamp();
+    if (visible < seg_max) {
+      channel.Close();
+      replica.Stop();
+      FAIL() << "segment " << s << " (max ts " << seg_max
+             << ") not visible within 100 ms; visible = " << visible;
+    }
+  }
+  channel.Close();
+  replica.WaitUntilCaughtUp();
+  replica.Stop();
+  EXPECT_EQ(replica.VisibleTimestamp(), replica.watermark());
+  EXPECT_EQ(replica.watermark(), ts);
+  EXPECT_EQ(replica.stats().applied_writes.load(),
+            static_cast<std::uint64_t>(kSegments) * kRowsPerSegment);
+  const auto loads = replica.WorkerLoads();
+  ASSERT_EQ(loads.size(), static_cast<std::size_t>(kWorkers));
+  for (int w = 0; w < kWorkers; ++w) {
+    EXPECT_GT(loads[w].applied_records, 0u) << "worker " << w << " got no rows";
+  }
+}
+
+TEST(C5WatermarkTest, LagSampleRecordedAfterVisibilityIsDrained) {
+  // A committing thread can be descheduled between its commit and its
+  // RecordCommit while the backup applies the write, advances the snapshot
+  // past it and parks. No later advance comes to drain such a sample, so
+  // the tracker must not leave it pending: a caught-up backup reports no
+  // pending samples and zero current lag.
+  storage::Database backup;
+  const TableId table = backup.CreateTable("t", 16);
+  SpscQueue<log::LogSegment*> channel(8);
+  log::ChannelSegmentSource source(&channel);
+  replica::LagTracker lag;
+  C5Replica replica(&backup,
+                    C5Replica::Options{.num_workers = 2, .gc_every = 0}, &lag);
+  replica.Start(&source);
+
+  std::vector<std::unique_ptr<log::LogSegment>> segments;
+  for (Timestamp ts = 1; ts <= 2; ++ts) {
+    auto seg = std::make_unique<log::LogSegment>(ts - 1);
+    log::LogRecord rec;
+    rec.table = table;
+    rec.op = ts == 1 ? OpType::kInsert : OpType::kUpdate;
+    rec.row = 0;
+    rec.key = 0;
+    rec.commit_ts = ts;
+    rec.last_in_txn = true;
+    rec.value = "v";
+    seg->Append(rec);
+    segments.push_back(std::move(seg));
+    ASSERT_TRUE(channel.Push(segments.back().get()));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (replica.VisibleTimestamp() < ts &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    ASSERT_GE(replica.VisibleTimestamp(), ts);
+    lag.RecordCommit(ts);  // late: the write is already visible
+    EXPECT_EQ(lag.PendingCount(), 0u) << "sample for ts " << ts;
+    EXPECT_EQ(lag.CurrentLagNanos(), 0);
+  }
+  channel.Close();
+  replica.WaitUntilCaughtUp();
+  replica.Stop();
+  EXPECT_EQ(lag.PendingCount(), 0u);
+  EXPECT_EQ(lag.TakeHistogram().count(), 2u);
 }
 
 TEST(C5StressTest, ManyWorkersHighContention) {

@@ -264,7 +264,7 @@ TEST(CheckpointTest, ConcurrentCheckpointMatchesQuiescedCheckpoint) {
 }
 
 
-// C5's snapshotter writes checkpoints automatically when configured; a
+// C5's maintenance thread writes checkpoints automatically when configured; a
 // restart from the auto-checkpoint plus the log resumes to the exact state.
 TEST(CheckpointTest, C5AutoCheckpointEnablesResume) {
   auto run = test::RunSyntheticPrimary(/*adversarial=*/true, /*clients=*/2,
@@ -287,7 +287,7 @@ TEST(CheckpointTest, C5AutoCheckpointEnablesResume) {
     replica.WaitUntilCaughtUp();
     replica.Stop();
     ASSERT_GT(replica.last_checkpoint_ts(), 0u)
-        << "snapshotter never wrote a checkpoint";
+        << "maintenance thread never wrote a checkpoint";
   }
 
   // Fresh process: recover from the auto-checkpoint + the log.

@@ -11,6 +11,8 @@
 #include <filesystem>
 #include <string>
 
+#include "common/crc32c.h"
+#include "common/rng.h"
 #include "core/protocol_factory.h"
 #include "log/log_file.h"
 #include "log/segment_source.h"
@@ -55,6 +57,39 @@ TEST(Crc32cTest, KnownVectors) {
   EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
   // Empty input.
   EXPECT_EQ(Crc32c("", 0), 0u);
+}
+
+TEST(Crc32cTest, HardwareMatchesPortable) {
+  if (!internal::Crc32cIsHardware()) {
+    GTEST_SKIP() << "CPU lacks SSE4.2; Crc32c runs the portable path";
+  }
+  // Every length 0-4200 (all tail sizes, up to a typical segment frame) at
+  // every start offset mod 8, so the 8-byte loop meets unaligned data.
+  Rng rng(1234);
+  std::string buf(4200 + 8, '\0');
+  for (char& ch : buf) ch = static_cast<char>(rng.Next());
+  for (std::size_t len = 0; len <= 4200; ++len) {
+    const std::size_t off = len % 8;
+    const std::uint32_t seed = static_cast<std::uint32_t>(rng.Next());
+    ASSERT_EQ(Crc32c(buf.data() + off, len),
+              internal::Crc32cPortable(buf.data() + off, len))
+        << "len " << len << " offset " << off;
+    ASSERT_EQ(Crc32c(buf.data() + off, len, seed),
+              internal::Crc32cPortable(buf.data() + off, len, seed))
+        << "len " << len << " offset " << off << " seed " << seed;
+  }
+  // Chained seeds: checksumming a buffer in pieces, each seeded with the
+  // previous piece's CRC, equals checksumming it whole.
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t off = rng.Uniform(8);
+    const std::size_t len = rng.Uniform(4201);
+    const std::size_t cut = rng.Uniform(len + 1);
+    const char* p = buf.data() + off;
+    const std::uint32_t whole = internal::Crc32cPortable(p, len);
+    EXPECT_EQ(Crc32c(p + cut, len - cut, Crc32c(p, cut)), whole)
+        << "len " << len << " offset " << off << " cut " << cut;
+    EXPECT_EQ(Crc32c(p, len), whole);
+  }
 }
 
 TEST(WireTest, RoundTripsAllFields) {
