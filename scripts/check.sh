@@ -86,14 +86,15 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 # DST, the lock-free skiplist, scans over live replicas, socket shipping,
 # the park/wake hand-offs of the SPSC queues and EventCount, checkpoints
 # written beside worker-published visibility, the wire codec and its
-# hardware/portable CRC32C) run 20 times
+# hardware/portable CRC32C, the online pipelines over every protocol and
+# Query Fresh's lazy reads, all publishing through ReplicaBase) run 20 times
 # each, stopping at the first failure. A race that fires one
 # run in five does not survive this lane. The core count comes first: a
 # pass on one core is no evidence about a race.
 echo "check.sh: repeat lane, nproc=$(nproc 2>/dev/null || echo unknown)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
   --repeat until-fail:20 \
-  -R 'dst|property|replica|c5_core|cluster|ordered_index|htap|net|queue|event_count|checkpoint|wire'
+  -R 'dst|property|replica|c5_core|cluster|ordered_index|htap|net|queue|event_count|checkpoint|wire|integration|query_fresh'
 
 "$repo_root/scripts/bench.sh" --quick "$build_dir"
 
@@ -125,12 +126,17 @@ run_static_lane
 # event_count_test): every hand-off between a parked thread and the thread
 # that wakes it must still carry a happens-before edge. checkpoint_test
 # runs the C5 maintenance thread writing checkpoints while the workers
-# advance the visible snapshot themselves.
+# advance the visible snapshot themselves. integration_test (every correct
+# protocol under a live primary and concurrent readers) and query_fresh_test
+# (readers instantiating rows beside the ingest thread's publishes) cover
+# the one publish path, ReplicaBase::PublishVisible, that every protocol's
+# snapshot advance and lag report go through.
 tsan_dir="${build_dir}-tsan"
 cmake -B "$tsan_dir" -S "$repo_root" -DC5_SANITIZE=thread >/dev/null
 cmake --build "$tsan_dir" -j "$jobs" --target dst_test cluster_test net_test \
   ordered_index_test htap_scan_test queue_test event_count_test \
-  c5_core_test replica_test property_test checkpoint_test
+  c5_core_test replica_test property_test checkpoint_test integration_test \
+  query_fresh_test
 C5_DST_SEED_COUNT=16 "$tsan_dir/dst_test"
 "$tsan_dir/cluster_test"
 "$tsan_dir/net_test"
@@ -142,6 +148,8 @@ C5_DST_SEED_COUNT=16 "$tsan_dir/dst_test"
 "$tsan_dir/replica_test"
 "$tsan_dir/property_test"
 "$tsan_dir/checkpoint_test"
+"$tsan_dir/integration_test"
+"$tsan_dir/query_fresh_test"
 
 asan_dir="${build_dir}-asan"
 cmake -B "$asan_dir" -S "$repo_root" -DC5_SANITIZE=address >/dev/null

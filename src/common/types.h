@@ -30,6 +30,14 @@ using RowId = std::uint64_t;
 
 inline constexpr RowId kInvalidRowId = std::numeric_limits<RowId>::max();
 
+// A row's name across tables: the key of every per-row map that spans tables
+// (the C5 schedulers' last-write maps, KuaFu's last-writer map, the
+// granularity replica's key queues, the 2PL lock table). Unique for row ids
+// below 2^56: tables are few and rows are dense array indices.
+inline std::uint64_t RowName(TableId table, RowId row) {
+  return (static_cast<std::uint64_t>(table) << 56) | row;
+}
+
 // Externally meaningful primary key. Composite TPC-C keys are encoded into
 // this 64-bit space (see workload/tpcc_keys.h).
 using Key = std::uint64_t;

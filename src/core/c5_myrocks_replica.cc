@@ -10,12 +10,6 @@
 
 namespace c5::core {
 
-namespace {
-std::uint64_t RowName(TableId table, RowId row) {
-  return (static_cast<std::uint64_t>(table) << 56) | row;
-}
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // TxnDispatchQueue
 
@@ -145,9 +139,8 @@ std::size_t C5MyRocksReplica::TxnDispatchQueue::SizeApprox() const {
 
 C5MyRocksReplica::C5MyRocksReplica(storage::Database* db, Options options,
                                    replica::LagTracker* lag)
-    : ReplicaBase(db),
+    : ReplicaBase(db, lag),
       options_(options),
-      lag_(lag),
       dispatch_(options.num_workers) {}
 
 void C5MyRocksReplica::Start(log::SegmentSource* source) {
@@ -387,12 +380,11 @@ void C5MyRocksReplica::SnapshotterLoop() {
           CpuRelax();
         }
       }
-      PublishVisible(n);
-      stats_.snapshots_taken.fetch_add(1, std::memory_order_relaxed);
       barrier_ts_.store(kMaxTimestamp, std::memory_order_release);
-      if (lag_ != nullptr) lag_->OnVisible(n);
-    } else if (lag_ != nullptr) {
-      lag_->OnVisible(VisibleTimestamp());
+      // Writes above n that land from here on are invisible to readers at
+      // n, so the captured snapshot is published outside the barrier: its
+      // lag report never holds writers back.
+      PublishVisible(n);
     }
 
     if (options_.gc_every > 0 && ++iter % options_.gc_every == 0) {
@@ -402,23 +394,10 @@ void C5MyRocksReplica::SnapshotterLoop() {
     if (shutdown_.load(std::memory_order_acquire)) break;
     if (scheduler_done_.load(std::memory_order_acquire) &&
         workers_running_.load(std::memory_order_acquire) == 0) {
-      const Timestamp final_ts = watermark_.load(std::memory_order_acquire);
-      if (final_ts > VisibleTimestamp()) {
-        PublishVisible(final_ts);
-        if (lag_ != nullptr) lag_->OnVisible(final_ts);
-      }
+      PublishVisible(watermark_.load(std::memory_order_acquire));
       break;
     }
     ticker.Wait();
-  }
-}
-
-void C5MyRocksReplica::WaitUntilCaughtUp() {
-  while (!(scheduler_done_.load(std::memory_order_acquire) &&
-           workers_running_.load(std::memory_order_acquire) == 0 &&
-           VisibleTimestamp() >=
-               watermark_.load(std::memory_order_acquire))) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
 }
 

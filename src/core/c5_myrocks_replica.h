@@ -13,7 +13,6 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "replica/lag_tracker.h"
 #include "replica/replica.h"
 
 namespace c5::core {
@@ -61,7 +60,13 @@ class C5MyRocksReplica : public replica::ReplicaBase {
   ~C5MyRocksReplica() override { Stop(); }
 
   void Start(log::SegmentSource* source) override;
-  void WaitUntilCaughtUp() override;
+  // The log is exhausted, every worker has exited, and the snapshotter has
+  // published the scheduled watermark.
+  bool CaughtUp() const override {
+    return scheduler_done_.load(std::memory_order_acquire) &&
+           workers_running_.load(std::memory_order_acquire) == 0 &&
+           VisibleTimestamp() >= watermark_.load(std::memory_order_acquire);
+  }
   void Stop() override;
   std::string name() const override { return "c5-myrocks"; }
 
@@ -128,7 +133,6 @@ class C5MyRocksReplica : public replica::ReplicaBase {
   void SnapshotterLoop();
 
   Options options_;
-  replica::LagTracker* lag_;
 
   TxnDispatchQueue dispatch_;
   alignas(64) std::atomic<Timestamp> watermark_{0};

@@ -10,15 +10,9 @@
 
 namespace c5::core {
 
-namespace {
-std::uint64_t RowName(TableId table, RowId row) {
-  return (static_cast<std::uint64_t>(table) << 56) | row;
-}
-}  // namespace
-
 C5Replica::C5Replica(storage::Database* db, Options options,
                      replica::LagTracker* lag)
-    : ReplicaBase(db), options_(options), lag_(lag) {
+    : ReplicaBase(db, lag), options_(options) {
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.push_back(std::make_unique<WorkerState>(/*queue_capacity=*/4096));
   }
@@ -311,11 +305,7 @@ void C5Replica::AdvanceVisible() {
     const Timestamp cp = w->c_prime.load(std::memory_order_seq_cst);
     if (cp < n) n = cp;
   }
-  if (n > VisibleTimestamp()) {
-    PublishVisible(n);
-    stats_.snapshots_taken.fetch_add(1, std::memory_order_relaxed);
-    if (lag_ != nullptr) lag_->OnVisible(n);
-  }
+  PublishVisible(n);
 }
 
 void C5Replica::MaintenanceLoop() {
@@ -359,15 +349,6 @@ std::vector<C5Replica::WorkerLoad> C5Replica::WorkerLoads() const {
                    w->cpu_ns.load(std::memory_order_acquire)});
   }
   return loads;
-}
-
-void C5Replica::WaitUntilCaughtUp() {
-  while (!(scheduler_done_.load(std::memory_order_acquire) &&
-           workers_running_.load(std::memory_order_acquire) == 0 &&
-           VisibleTimestamp() >=
-               watermark_.load(std::memory_order_acquire))) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
 }
 
 void C5Replica::Stop() {

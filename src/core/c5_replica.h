@@ -32,7 +32,6 @@
 #include "common/spin_lock.h"
 #include "common/thread_annotations.h"
 #include "common/spsc_queue.h"
-#include "replica/lag_tracker.h"
 #include "replica/replica.h"
 
 namespace c5::core {
@@ -117,7 +116,13 @@ class C5Replica : public replica::ReplicaBase {
   ~C5Replica() override { Stop(); }
 
   void Start(log::SegmentSource* source) override;
-  void WaitUntilCaughtUp() override;
+  // The log is exhausted, every worker has exited, and the snapshot covers
+  // the scheduled watermark.
+  bool CaughtUp() const override {
+    return scheduler_done_.load(std::memory_order_acquire) &&
+           workers_running_.load(std::memory_order_acquire) == 0 &&
+           VisibleTimestamp() >= watermark_.load(std::memory_order_acquire);
+  }
   void Stop() override;
   std::string name() const override { return "c5"; }
 
@@ -198,7 +203,6 @@ class C5Replica : public replica::ReplicaBase {
   bool TryApply(const log::LogRecord& rec, LocalCounts& counts);
 
   Options options_;
-  replica::LagTracker* lag_;
 
   std::vector<std::unique_ptr<WorkerState>> workers_;
   alignas(64) std::atomic<Timestamp> watermark_{0};

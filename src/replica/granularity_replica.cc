@@ -1,7 +1,5 @@
 #include "replica/granularity_replica.h"
 
-#include "common/thread_util.h"
-
 namespace c5::replica {
 
 const char* ToString(Granularity g) {
@@ -18,7 +16,7 @@ const char* ToString(Granularity g) {
 
 GranularityReplica::GranularityReplica(storage::Database* db, Options options,
                                        LagTracker* lag)
-    : ReplicaBase(db), options_(options), lag_(lag) {}
+    : ReplicaBase(db, lag), options_(options) {}
 
 std::string GranularityReplica::name() const {
   switch (options_.granularity) {
@@ -33,16 +31,15 @@ std::string GranularityReplica::name() const {
 }
 
 std::uint64_t GranularityReplica::KeyFor(const log::LogRecord& rec) const {
-  const std::uint64_t table_bits = static_cast<std::uint64_t>(rec.table) << 56;
   switch (options_.granularity) {
     case Granularity::kRow:
-      return table_bits | rec.row;
+      return RowName(rec.table, rec.row);
     case Granularity::kPage:
-      return table_bits | (rec.row / options_.rows_per_page);
+      return RowName(rec.table, rec.row / options_.rows_per_page);
     case Granularity::kTable:
-      return table_bits;
+      return RowName(rec.table, 0);
   }
-  return table_bits | rec.row;
+  return RowName(rec.table, rec.row);
 }
 
 void GranularityReplica::Start(log::SegmentSource* source) {
@@ -50,7 +47,9 @@ void GranularityReplica::Start(log::SegmentSource* source) {
   for (int i = 0; i < options_.num_workers; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
   }
-  threads_.emplace_back([this] { VisibilityLoop(); });
+  threads_.emplace_back([this] {
+    PrefixVisibilityLoop(prefix_, options_.visibility_interval, shutdown_);
+  });
 }
 
 void GranularityReplica::SchedulerLoop(log::SegmentSource* source) {
@@ -155,52 +154,6 @@ void GranularityReplica::FinishWrites(std::uint64_t n) {
       scheduler_done_.load(std::memory_order_acquire)) {
     all_applied_.store(true, std::memory_order_release);
     sched_queue_.Close();
-  }
-}
-
-void GranularityReplica::VisibilityLoop() {
-  Ticker ticker(options_.visibility_interval);
-  while (true) {
-    const Timestamp vis = prefix_.Advance();
-    if (vis != kInvalidTimestamp) {
-      PublishVisible(vis);
-      if (lag_ != nullptr) lag_->OnVisible(vis);
-    }
-    if (shutdown_.load(std::memory_order_acquire)) break;
-    if (all_applied_.load(std::memory_order_acquire) &&
-        prefix_.watermark() >=
-            final_record_count_.load(std::memory_order_acquire)) {
-      break;
-    }
-    ticker.Wait();
-  }
-  const Timestamp vis = prefix_.Advance();
-  if (vis != kInvalidTimestamp) {
-    PublishVisible(vis);
-    if (lag_ != nullptr) lag_->OnVisible(vis);
-  }
-}
-
-void GranularityReplica::WaitUntilCaughtUp() {
-  while (!all_applied_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  const std::uint64_t final_count =
-      final_record_count_.load(std::memory_order_acquire);
-  while (prefix_.watermark() < final_count) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  // The contract (replica.h) is that the VISIBILITY watermark covers the
-  // whole log at return, not merely that every record was applied: the
-  // visibility thread publishes asynchronously after the tracker advances,
-  // so wait until the published snapshot reaches the last transaction
-  // boundary the scheduler saw. (Found by the DST harness under TSan
-  // timing: VisibleTimestamp() could still read a stale value — even 0 —
-  // right after the applied-count condition passed.)
-  const Timestamp final_boundary =
-      final_boundary_ts_.load(std::memory_order_acquire);
-  while (VisibleTimestamp() < final_boundary) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
 }
 

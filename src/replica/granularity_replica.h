@@ -14,8 +14,6 @@
 #include "common/mpmc_queue.h"
 #include "common/spin_lock.h"
 #include "common/thread_annotations.h"
-#include "replica/lag_tracker.h"
-#include "replica/prefix_tracker.h"
 #include "replica/replica.h"
 
 namespace c5::replica {
@@ -49,7 +47,8 @@ const char* ToString(Granularity g);
 // minimal in Theorem 2.
 //
 // Visibility: writes complete out of transaction order, so a PrefixTracker
-// over record sequence numbers computes the transaction-aligned snapshot.
+// over record sequence numbers computes the transaction-aligned snapshot,
+// which a visibility thread publishes (ReplicaBase::PrefixVisibilityLoop).
 class GranularityReplica : public ReplicaBase {
  public:
   struct Options {
@@ -65,7 +64,18 @@ class GranularityReplica : public ReplicaBase {
   ~GranularityReplica() override { Stop(); }
 
   void Start(log::SegmentSource* source) override;
-  void WaitUntilCaughtUp() override;
+  // Every record applied and walked by the prefix tracker, and the
+  // published snapshot at the last transaction boundary the scheduler saw:
+  // the visibility thread publishes after the tracker advances, so right
+  // after the last apply VisibleTimestamp() can still read a stale value,
+  // even 0. (Found by the DST harness under TSan timing.)
+  bool CaughtUp() const override {
+    return all_applied_.load(std::memory_order_acquire) &&
+           prefix_.watermark() >=
+               final_record_count_.load(std::memory_order_acquire) &&
+           VisibleTimestamp() >=
+               final_boundary_ts_.load(std::memory_order_acquire);
+  }
   void Stop() override;
   std::string name() const override;
 
@@ -96,7 +106,6 @@ class GranularityReplica : public ReplicaBase {
 
   void SchedulerLoop(log::SegmentSource* source);
   void WorkerLoop();
-  void VisibilityLoop();
   void FinishWrites(std::uint64_t n);
 
   // Handoff batching: the logical scheduler queue hands off one eligible
@@ -109,7 +118,6 @@ class GranularityReplica : public ReplicaBase {
   static constexpr int kMaxRunPerHandoff = 64;
 
   Options options_;
-  LagTracker* lag_;
 
   // Key -> queue. Created only by the scheduler; workers reach queues via
   // pointers in the scheduler queue, so the map itself is scheduler-private.
@@ -122,7 +130,7 @@ class GranularityReplica : public ReplicaBase {
   std::atomic<std::uint64_t> outstanding_writes_{0};
   std::atomic<std::uint64_t> final_record_count_{~std::uint64_t{0}};
   // Largest transaction-boundary timestamp the scheduler enqueued; what the
-  // visibility watermark must reach before WaitUntilCaughtUp may return.
+  // visibility watermark must reach before the replica is caught up.
   std::atomic<Timestamp> final_boundary_ts_{0};
   std::atomic<bool> all_applied_{false};
   std::atomic<bool> shutdown_{false};

@@ -3,26 +3,21 @@
 #include <unordered_set>
 
 #include "common/clock.h"
-#include "common/thread_util.h"
 
 namespace c5::replica {
 
-namespace {
-std::uint64_t RowName(TableId table, RowId row) {
-  return (static_cast<std::uint64_t>(table) << 56) | row;
-}
-}  // namespace
-
 KuaFuReplica::KuaFuReplica(storage::Database* db, Options options,
                            LagTracker* lag)
-    : ReplicaBase(db), options_(options), lag_(lag) {}
+    : ReplicaBase(db, lag), options_(options) {}
 
 void KuaFuReplica::Start(log::SegmentSource* source) {
   threads_.emplace_back([this, source] { SchedulerLoop(source); });
   for (int i = 0; i < options_.num_workers; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
   }
-  threads_.emplace_back([this] { VisibilityLoop(); });
+  threads_.emplace_back([this] {
+    PrefixVisibilityLoop(prefix_, options_.visibility_interval, shutdown_);
+  });
 }
 
 void KuaFuReplica::SchedulerLoop(log::SegmentSource* source) {
@@ -136,52 +131,6 @@ void KuaFuReplica::ReleaseDependents(TxnNode* node) {
     children.swap(node->children);
   }
   for (TxnNode* child : children) MaybeReady(child);
-}
-
-void KuaFuReplica::VisibilityLoop() {
-  Ticker ticker(options_.visibility_interval);
-  while (true) {
-    const Timestamp vis = prefix_.Advance();
-    if (vis != kInvalidTimestamp) {
-      PublishVisible(vis);
-      if (lag_ != nullptr) lag_->OnVisible(vis);
-    }
-    if (shutdown_.load(std::memory_order_acquire)) break;
-    if (all_applied_.load(std::memory_order_acquire) &&
-        prefix_.watermark() >=
-            final_txn_count_.load(std::memory_order_acquire)) {
-      break;
-    }
-    ticker.Wait();
-  }
-  // Final sweep so the last transactions become visible.
-  const Timestamp vis = prefix_.Advance();
-  if (vis != kInvalidTimestamp) {
-    PublishVisible(vis);
-    if (lag_ != nullptr) lag_->OnVisible(vis);
-  }
-}
-
-void KuaFuReplica::WaitUntilCaughtUp() {
-  while (!all_applied_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  const std::uint64_t final_count =
-      final_txn_count_.load(std::memory_order_acquire);
-  while (prefix_.watermark() < final_count) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  // The contract (replica.h) is that the VISIBILITY watermark covers the
-  // whole log at return, not merely that every transaction was applied:
-  // the visibility thread publishes asynchronously after the tracker
-  // advances, so wait until the published snapshot reaches the last
-  // transaction boundary the scheduler closed. (Found by the DST harness
-  // under TSan timing.)
-  const Timestamp final_boundary =
-      final_boundary_ts_.load(std::memory_order_acquire);
-  while (VisibleTimestamp() < final_boundary) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
 }
 
 void KuaFuReplica::Stop() {

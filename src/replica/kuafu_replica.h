@@ -14,8 +14,6 @@
 #include "common/mpmc_queue.h"
 #include "common/spin_lock.h"
 #include "common/thread_annotations.h"
-#include "replica/lag_tracker.h"
-#include "replica/prefix_tracker.h"
 #include "replica/replica.h"
 
 namespace c5::replica {
@@ -34,7 +32,8 @@ namespace c5::replica {
 //
 // Visibility: transactions complete out of commit order, so a PrefixTracker
 // over transaction indexes computes the contiguous applied prefix; the
-// visibility timestamp is the last transaction in it (MPC, §2.3).
+// visibility timestamp is the last transaction in it (MPC, §2.3); a
+// visibility thread publishes it (ReplicaBase::PrefixVisibilityLoop).
 //
 // `unconstrained` mode reproduces the paper's diagnostic (§7.3): the
 // scheduler skips dependency calculation entirely and every transaction is
@@ -56,7 +55,16 @@ class KuaFuReplica : public ReplicaBase {
   ~KuaFuReplica() override { Stop(); }
 
   void Start(log::SegmentSource* source) override;
-  void WaitUntilCaughtUp() override;
+  // Every transaction applied and walked by the prefix tracker, and the
+  // published snapshot at the last transaction boundary the scheduler
+  // closed (see GranularityReplica::CaughtUp for why all three).
+  bool CaughtUp() const override {
+    return all_applied_.load(std::memory_order_acquire) &&
+           prefix_.watermark() >=
+               final_txn_count_.load(std::memory_order_acquire) &&
+           VisibleTimestamp() >=
+               final_boundary_ts_.load(std::memory_order_acquire);
+  }
   void Stop() override;
   std::string name() const override {
     return options_.unconstrained ? "kuafu-unconstrained" : "kuafu";
@@ -90,7 +98,6 @@ class KuaFuReplica : public ReplicaBase {
 
   void SchedulerLoop(log::SegmentSource* source);
   void WorkerLoop();
-  void VisibilityLoop();
   void ReleaseDependents(TxnNode* node);
   void MaybeReady(TxnNode* node) {
     if (node->deps.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -99,7 +106,6 @@ class KuaFuReplica : public ReplicaBase {
   }
 
   Options options_;
-  LagTracker* lag_;
 
   MpmcQueue<TxnNode*> ready_;
   PrefixTracker prefix_;
@@ -112,7 +118,7 @@ class KuaFuReplica : public ReplicaBase {
   std::atomic<std::uint64_t> scheduled_txns_{0};
   std::atomic<std::uint64_t> final_txn_count_{~std::uint64_t{0}};
   // Largest transaction commit timestamp the scheduler closed; what the
-  // visibility watermark must reach before WaitUntilCaughtUp may return.
+  // visibility watermark must reach before the replica is caught up.
   std::atomic<Timestamp> final_boundary_ts_{0};
   std::atomic<bool> all_applied_{false};
   std::atomic<bool> shutdown_{false};

@@ -1,7 +1,5 @@
 #include "replica/query_fresh_replica.h"
 
-#include <chrono>
-
 #include "common/spin_lock.h"
 
 namespace c5::replica {
@@ -47,7 +45,7 @@ QueryFreshReplica::RowStateMap::~RowStateMap() {
 
 QueryFreshReplica::QueryFreshReplica(storage::Database* db, Options options,
                                      LagTracker* lag)
-    : ReplicaBase(db), options_(options), lag_(lag) {}
+    : ReplicaBase(db, lag), options_(options) {}
 
 void QueryFreshReplica::Start(log::SegmentSource* source) {
   // Schema is fixed before replication starts (§2.2: DDL is out of scope).
@@ -90,7 +88,6 @@ void QueryFreshReplica::IngestLoop(log::SegmentSource* source) {
         // see this transaction (after paying its deferred execution).
         stats_.applied_txns.fetch_add(1, std::memory_order_relaxed);
         PublishVisible(rec.commit_ts);
-        if (lag_ != nullptr) lag_->OnVisible(rec.commit_ts);
       }
     }
   }
@@ -157,10 +154,7 @@ void QueryFreshReplica::InstantiateAll(Timestamp ts) {
 }
 
 void QueryFreshReplica::WaitUntilCaughtUp() {
-  // A sleep poll, not a spin: the wait lasts the whole ingest.
-  while (!ingest_done_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
+  ReplicaBase::WaitUntilCaughtUp();
   if (!options_.leave_lazy_after_catchup) {
     InstantiateAll(kMaxTimestamp);
   }

@@ -10,7 +10,6 @@
 
 #include "common/spin_lock.h"
 #include "common/thread_annotations.h"
-#include "replica/lag_tracker.h"
 #include "replica/replica.h"
 
 namespace c5::replica {
@@ -53,7 +52,9 @@ namespace c5::replica {
 //    charged to the reader.
 //  * WaitUntilCaughtUp additionally drains every pending redo list so that
 //    offline replays converge to the primary's exact state (used by the
-//    convergence tests and by state digests).
+//    convergence tests and by state digests). CaughtUp() itself is the
+//    ingest half only: the visibility watermark covers the log as soon as
+//    the last record is indexed.
 class QueryFreshReplica : public ReplicaBase {
  public:
   struct Options {
@@ -68,6 +69,9 @@ class QueryFreshReplica : public ReplicaBase {
   ~QueryFreshReplica() override { Stop(); }
 
   void Start(log::SegmentSource* source) override;
+  bool CaughtUp() const override {
+    return ingest_done_.load(std::memory_order_acquire);
+  }
   void WaitUntilCaughtUp() override;
   void Stop() override;
   std::string name() const override { return "query-fresh"; }
@@ -180,7 +184,6 @@ class QueryFreshReplica : public ReplicaBase {
   void InstantiateAll(Timestamp ts);
 
   Options options_;
-  LagTracker* lag_;
 
   // One RowStateMap per table; sized at Start() from the backup's schema.
   std::vector<std::unique_ptr<RowStateMap>> row_maps_;

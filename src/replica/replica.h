@@ -14,6 +14,18 @@
 //    published: a restarted replica's readers can never observe the
 //    non-prefix states left by a dead incarnation's run-ahead writes.
 //
+// The publish contract: ReplicaBase::PublishVisible is the one place a
+// snapshot advance happens. Only a publish that actually moves the
+// visibility watermark counts: it bumps stats().snapshots_taken once and
+// reports the new snapshot to the lag tracker, so replication lag is "commit
+// on the primary until included in the backup's current snapshot" (§6.3)
+// for every protocol alike. A stale publish, and a publish the recovery
+// window suppresses, changes nothing and reports nothing: no lag sample is
+// drained while the snapshot that would cover it stays unreadable.
+//
+// Catching up is one rule too: each protocol states when it is caught up
+// (CaughtUp()), and ReplicaBase::WaitUntilCaughtUp polls that predicate.
+//
 // The read surface (point get, multi-get, ordered scan) is c5::Snapshot
 // (api/snapshot.h), an RAII handle combining the epoch guard, reader
 // registration, and the pinned visible timestamp (OpenSnapshot below).
@@ -23,14 +35,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 
 #include "common/histogram.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "common/thread_util.h"
 #include "common/types.h"
 #include "log/segment_source.h"
+#include "replica/lag_tracker.h"
+#include "replica/prefix_tracker.h"
 #include "storage/database.h"
 #include "txn/active_txn_tracker.h"
 
@@ -45,7 +62,7 @@ struct ReplicaStats {
   std::atomic<std::uint64_t> applied_writes{0};
   std::atomic<std::uint64_t> applied_txns{0};
   std::atomic<std::uint64_t> deferred_writes{0};  // C5: prev-ts misses
-  std::atomic<std::uint64_t> snapshots_taken{0};
+  std::atomic<std::uint64_t> snapshots_taken{0};  // real advances only
   std::atomic<std::uint64_t> read_only_txns{0};
 };
 
@@ -80,14 +97,30 @@ class Replica {
   virtual std::string name() const = 0;
 };
 
-// Shared plumbing: visibility watermark, snapshot read surface, reader
+// Shared plumbing: visibility watermark and its one publish path (snapshot
+// count, lag report), the caught-up wait, snapshot read surface, reader
 // registration for GC horizons, the recovery visibility window.
 class ReplicaBase : public Replica {
  public:
-  explicit ReplicaBase(storage::Database* db) : db_(db) {}
+  // `lag` (optional, not owned) receives every snapshot advance.
+  explicit ReplicaBase(storage::Database* db, LagTracker* lag = nullptr)
+      : db_(db), lag_(lag) {}
 
   storage::Database& db() override { return *db_; }
   ReplicaStats& stats() override { return stats_; }
+
+  // True once the log is exhausted, every write is applied, and the
+  // published snapshot covers the whole log: the protocol's own statement
+  // of the WaitUntilCaughtUp contract. Non-blocking; any thread.
+  virtual bool CaughtUp() const = 0;
+
+  // A sleep poll over CaughtUp(), not a spin: the wait lasts the whole
+  // replay.
+  void WaitUntilCaughtUp() override {
+    while (!CaughtUp()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
 
   // ---- Stable identity ------------------------------------------------------
   // A deployment-stable id ("shard0/backup1") distinguishing THIS replica
@@ -230,6 +263,11 @@ class ReplicaBase : public Replica {
     (void)ts;
   }
 
+  // Advances the visible snapshot to `ts` (a transaction-aligned prefix
+  // point). Monotone and safe from any number of threads. The CAS that
+  // moves the watermark is the one snapshot event: only its winner counts
+  // the snapshot and reports it to the lag tracker (see the publish
+  // contract at the top of this file).
   void PublishVisible(Timestamp ts) {
     // Recovery window: snapshots strictly inside (resume, floor) would
     // expose the dead incarnation's non-prefix run-ahead states; hold the
@@ -237,9 +275,31 @@ class ReplicaBase : public Replica {
     // covers the inherited high-water mark.
     if (ts < recovery_floor_.load(std::memory_order_acquire)) return;
     Timestamp cur = visible_ts_.load(std::memory_order_relaxed);
-    while (cur < ts && !visible_ts_.compare_exchange_weak(
-                           cur, ts, std::memory_order_acq_rel)) {
+    while (cur < ts) {
+      if (visible_ts_.compare_exchange_weak(cur, ts,
+                                            std::memory_order_acq_rel)) {
+        stats_.snapshots_taken.fetch_add(1, std::memory_order_relaxed);
+        if (lag_ != nullptr) lag_->OnVisible(ts);
+        return;
+      }
     }
+  }
+
+  // Visibility thread body for protocols that apply out of log order
+  // (KuaFu, the granularity replicas): every `interval`, publishes the
+  // transaction-aligned applied prefix `prefix` has walked, until the
+  // replica is caught up or `stop` is set, then sweeps once more. The
+  // calling thread is `prefix`'s single advancer.
+  void PrefixVisibilityLoop(PrefixTracker& prefix,
+                            std::chrono::microseconds interval,
+                            const std::atomic<bool>& stop) {
+    Ticker ticker(interval);
+    while (true) {
+      PublishVisible(prefix.Advance());
+      if (stop.load(std::memory_order_acquire) || CaughtUp()) break;
+      ticker.Wait();
+    }
+    PublishVisible(prefix.Advance());
   }
 
   friend class ::c5::Snapshot;
@@ -252,6 +312,7 @@ class ReplicaBase : public Replica {
   std::atomic<Timestamp> recovery_resume_{0};
 
  private:
+  LagTracker* const lag_;  // reached only through PublishVisible
   mutable Mutex apply_latency_mu_{LockRank::kStats};
   Histogram apply_latency_ C5_GUARDED_BY(apply_latency_mu_);
   std::string instance_id_;

@@ -5,7 +5,6 @@
 #include <string>
 #include <thread>
 
-#include "replica/lag_tracker.h"
 #include "replica/replica.h"
 
 namespace c5::replica {
@@ -18,18 +17,21 @@ class SingleThreadReplica : public ReplicaBase {
  public:
   explicit SingleThreadReplica(storage::Database* db,
                                LagTracker* lag = nullptr)
-      : ReplicaBase(db), lag_(lag) {}
+      : ReplicaBase(db, lag) {}
   ~SingleThreadReplica() override { Stop(); }
 
   void Start(log::SegmentSource* source) override;
-  void WaitUntilCaughtUp() override;
+  // Each transaction is published as it is applied, so end of log is
+  // caught up.
+  bool CaughtUp() const override {
+    return done_.load(std::memory_order_acquire);
+  }
   void Stop() override;
   std::string name() const override { return "single-threaded"; }
 
  private:
   void Run(log::SegmentSource* source);
 
-  LagTracker* lag_;
   std::thread thread_;
   std::atomic<bool> done_{false};
 };

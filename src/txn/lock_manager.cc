@@ -71,7 +71,7 @@ bool LockManager::Granted(Shard& shard, std::uint64_t name, TxnId who) {
 
 bool LockManager::Acquire(TxnId txn, TableId table, RowId row,
                           std::chrono::steady_clock::time_point deadline) {
-  const std::uint64_t name = LockName(table, row);
+  const std::uint64_t name = RowName(table, row);
   Shard& shard = ShardFor(name);
 
   // Phase 1: opportunistic spin. Sleeping in the FIFO queue costs a futex
@@ -161,7 +161,7 @@ bool LockManager::Acquire(TxnId txn, TableId table, RowId row,
 }
 
 void LockManager::Release(TxnId txn, TableId table, RowId row) {
-  const std::uint64_t name = LockName(table, row);
+  const std::uint64_t name = RowName(table, row);
   Shard& shard = ShardFor(name);
   MutexLock lock(shard.mu);
   LockNode* n = Find(shard, name);

@@ -104,12 +104,6 @@ class LockManager {
     std::size_t last_slab_used C5_GUARDED_BY(mu) = 0;
   };
 
-  static std::uint64_t LockName(TableId table, RowId row) {
-    // Unique for row ids below 2^56 (tables are few, rows are dense array
-    // indices, so this always holds in practice).
-    return (static_cast<std::uint64_t>(table) << 56) | row;
-  }
-
   Shard& ShardFor(std::uint64_t name) {
     return shards_[Mix(name) & shard_mask_];
   }

@@ -1013,7 +1013,7 @@ TEST(ClusterTest, RecoveryWindowSuppressesInteriorSnapshots) {
    public:
     explicit Probe(storage::Database* db) : ReplicaBase(db) {}
     void Start(log::SegmentSource*) override {}
-    void WaitUntilCaughtUp() override {}
+    bool CaughtUp() const override { return true; }
     void Stop() override {}
     std::string name() const override { return "probe"; }
     void Publish(Timestamp ts) { PublishVisible(ts); }

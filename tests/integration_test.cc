@@ -121,6 +121,9 @@ TEST_P(OnlineReplicationTest, LivePrimaryStreamsToReplicaWithReaders) {
   EXPECT_EQ(test::StateDigest(primary_db, kMaxTimestamp),
             test::StateDigest(backup_db, kMaxTimestamp));
 
+  // Every protocol counts its snapshot advances.
+  EXPECT_GT(rep->stats().snapshots_taken.load(), 0u);
+
   // Lag histogram was populated and is sane (everything eventually visible).
   EXPECT_EQ(lag.PendingCount(), 0u);
   const Histogram h = lag.TakeHistogram();
@@ -131,7 +134,9 @@ INSTANTIATE_TEST_SUITE_P(
     Protocols, OnlineReplicationTest,
     ::testing::Values(ProtocolKind::kC5, ProtocolKind::kC5MyRocks,
                       ProtocolKind::kKuaFu, ProtocolKind::kSingleThread,
-                      ProtocolKind::kC5Queue),
+                      ProtocolKind::kC5Queue, ProtocolKind::kQueryFresh,
+                      ProtocolKind::kPageGranularity,
+                      ProtocolKind::kTableGranularity),
     [](const ::testing::TestParamInfo<ProtocolKind>& info) {
       std::string name = core::ToString(info.param);
       for (auto& c : name) {

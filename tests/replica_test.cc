@@ -11,6 +11,7 @@
 #include "api/snapshot.h"
 #include "core/protocol_factory.h"
 #include "log/segment_source.h"
+#include "replica/lag_tracker.h"
 #include "tests/test_util.h"
 #include "workload/synthetic.h"
 
@@ -228,6 +229,73 @@ TEST_P(ReplicaParamTest, MonotonicPrefixConsistencyDuringReplay) {
   Value v;
   ASSERT_TRUE(base->OpenSnapshot().Get(table, kA, &v).ok());
   EXPECT_EQ(workload::DecodeIntValue(v), 400u);
+}
+
+// A snapshot the recovery window suppresses is not a snapshot: nothing was
+// made readable, so no lag sample may be drained and no snapshot counted.
+// The window (0, 100] is armed, a sample is recorded for ts 1, and ts 1 is
+// replayed: while the gate holds ts 100 back, the snapshot stays at 0 and
+// the sample stays pending. Once ts 100 is replayed the window closes, and
+// that one real advance drains the sample.
+TEST_P(ReplicaParamTest, RecoveryWindowHoldsLagSamples) {
+  storage::Database backup;
+  const TableId table = workload::SyntheticWorkload::CreateTable(&backup);
+  log::Log log;
+  for (const Timestamp ts : {Timestamp{1}, Timestamp{100}}) {
+    auto seg = std::make_unique<log::LogSegment>(log.NumRecords());
+    log::LogRecord rec;
+    rec.table = table;
+    rec.op = OpType::kInsert;
+    rec.row = ts;
+    rec.key = ts;
+    rec.commit_ts = ts;
+    rec.last_in_txn = true;
+    rec.value = "v";
+    seg->Append(rec);
+    log.AppendSegment(std::move(seg));
+  }
+  log::GatedSegmentSource source(&log, /*gate_at=*/1);
+
+  replica::LagTracker lag;
+  auto replica = MakeReplica(kind(), &backup, Options(), &lag);
+  auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get());
+  ASSERT_NE(base, nullptr);
+  base->SetRecoveryWindow(/*resume_ts=*/0, /*inherited_max=*/100);
+  lag.RecordCommit(1);
+  replica->Start(&source);
+
+  // No ASSERT until the gate opens: the scheduler blocks in the gated
+  // source, so returning early would hang the replica's join.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (replica->stats().applied_txns.load() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  EXPECT_EQ(replica->stats().applied_txns.load(), 1u);
+  // Many visibility periods: every protocol has had its chance to publish.
+  const auto hold_until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+  Timestamp visible = 0;
+  std::size_t pending = 1;
+  while (visible == 0 && pending == 1 &&
+         std::chrono::steady_clock::now() < hold_until) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    visible = replica->VisibleTimestamp();
+    pending = lag.PendingCount();
+  }
+  EXPECT_EQ(visible, 0u);
+  EXPECT_EQ(pending, 1u) << "a suppressed snapshot drained a lag sample";
+  EXPECT_EQ(replica->stats().snapshots_taken.load(), 0u);
+
+  source.Open();
+  replica->WaitUntilCaughtUp();
+  replica->Stop();
+  EXPECT_EQ(replica->VisibleTimestamp(), 100u);
+  EXPECT_TRUE(base->RecoveryWindowClosed());
+  EXPECT_EQ(lag.PendingCount(), 0u);
+  EXPECT_EQ(lag.TakeHistogram().count(), 1u);
+  EXPECT_GT(replica->stats().snapshots_taken.load(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
