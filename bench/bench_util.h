@@ -149,12 +149,10 @@ inline ReplayResult ReplayLog(core::ProtocolKind kind, log::Log& log,
   replica->Stop();
   result.txns = replica->stats().applied_txns.load();
   result.writes = replica->stats().applied_writes.load();
-  if (auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get())) {
-    const Histogram h = base->ApplyLatencySnapshot();
-    if (h.count() > 0) {
-      result.apply_p50_ns = h.Quantile(0.5);
-      result.apply_p99_ns = h.Quantile(0.99);
-    }
+  const Histogram h = replica->ApplyLatencySnapshot();
+  if (h.count() > 0) {
+    result.apply_p50_ns = h.Quantile(0.5);
+    result.apply_p99_ns = h.Quantile(0.99);
   }
   return result;
 }

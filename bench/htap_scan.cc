@@ -2,10 +2,10 @@
 // |matches|, not |table|, by comparing three read strategies on a backup
 // replica over a large replicated table:
 //
-//   collectrange  — the pre-PR-10 Scan backing: HashIndex::CollectRange
-//                   walks EVERY slot of every shard (O(|table|)), copies and
-//                   sorts the match set, then resolves versions. Kept as the
-//                   measured baseline.
+//   collectrange  — the old Scan backing: walk EVERY hash-index entry
+//                   (HashIndex::ForEach, O(|table|)), copy and sort the
+//                   match set, then resolve versions. Kept as the measured
+//                   baseline.
 //   stream        — Snapshot::Scan: one ordered-index cursor, O(log n)
 //                   positioning + O(|matches|) steps, nothing materialized.
 //   aggregate     — Snapshot::Aggregate: the same walk with the fold pushed
@@ -18,6 +18,7 @@
 
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstring>
 
@@ -45,7 +46,10 @@ std::uint64_t CollectRangeScan(replica::ReplicaBase& base,
   std::uint64_t matches = 0;
   const c5::Snapshot snap = base.OpenSnapshot();
   std::vector<std::pair<Key, RowId>> out;
-  db.index(table).CollectRange(lo, hi, &out);
+  db.index(table).ForEach([&](Key key, RowId row, Timestamp) {
+    if (key >= lo && key < hi) out.emplace_back(key, row);
+  });
+  std::sort(out.begin(), out.end());
   storage::Table& tbl = db.table(table);
   for (const auto& [key, row] : out) {
     (void)key;
@@ -180,11 +184,6 @@ int Run(int argc, char** argv) {
   replica->Start(&source);
   replica->WaitUntilCaughtUp();
   const double replay_seconds = replay_sw.ElapsedSeconds();
-  auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get());
-  if (base == nullptr) {
-    std::fprintf(stderr, "protocol has no snapshot surface\n");
-    return 1;
-  }
 
   const int baseline_reps = quick ? 3 : 5;
   std::vector<RangeResult> rows;
@@ -195,7 +194,7 @@ int Run(int argc, char** argv) {
     const Key lo = (table_keys - range) / 2;
     const int stream_reps =
         quick ? 10 : (range <= 64 ? 2000 : (range <= 4096 ? 200 : 20));
-    rows.push_back(MeasureRange(*base, backup, table, lo, range,
+    rows.push_back(MeasureRange(*replica, backup, table, lo, range,
                                 baseline_reps, stream_reps));
   }
 

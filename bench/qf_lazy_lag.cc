@@ -132,10 +132,9 @@ void PartB() {
                                 {.num_workers = bench::DefaultWorkers()});
     c5->Start(&c5_source);
     c5->WaitUntilCaughtUp();
-    auto* base = dynamic_cast<replica::ReplicaBase*>(c5.get());
     Stopwatch c5_read;
-    (void)base->OpenSnapshot().Get(c5_table,
-                                   workload::SyntheticWorkload::kHotKey, &v);
+    (void)c5->OpenSnapshot().Get(c5_table,
+                                 workload::SyntheticWorkload::kHotKey, &v);
     const double c5_us = c5_read.ElapsedSeconds() * 1e6;
     c5->Stop();
 

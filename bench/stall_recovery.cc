@@ -38,14 +38,20 @@ class PausableSource : public log::SegmentSource {
 
   log::LogSegment* Next() override {
     while (paused_->load(std::memory_order_acquire)) {
+      if (cancelled_.load(std::memory_order_acquire)) return nullptr;
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
     return inner_->Next();
+  }
+  void Cancel() override {
+    cancelled_.store(true, std::memory_order_release);
+    inner_->Cancel();
   }
 
  private:
   log::SegmentSource* inner_;
   std::atomic<bool>* paused_;
+  std::atomic<bool> cancelled_{false};
 };
 
 struct StallResult {

@@ -87,14 +87,15 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 # the park/wake hand-offs of the SPSC queues and EventCount, checkpoints
 # written beside worker-published visibility, the wire codec and its
 # hardware/portable CRC32C, the online pipelines over every protocol and
-# Query Fresh's lazy reads, all publishing through ReplicaBase) run 20 times
-# each, stopping at the first failure. A race that fires one
+# Query Fresh's lazy reads, all publishing through ReplicaBase, and the
+# session and failover suites, which stop and restart backups mid-log) run 20
+# times each, stopping at the first failure. A race that fires one
 # run in five does not survive this lane. The core count comes first: a
 # pass on one core is no evidence about a race.
 echo "check.sh: repeat lane, nproc=$(nproc 2>/dev/null || echo unknown)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
   --repeat until-fail:20 \
-  -R 'dst|property|replica|c5_core|cluster|ordered_index|htap|net|queue|event_count|checkpoint|wire|integration|query_fresh'
+  -R 'dst|property|replica|c5_core|cluster|ordered_index|htap|net|queue|event_count|checkpoint|wire|integration|query_fresh|session|failover'
 
 "$repo_root/scripts/bench.sh" --quick "$build_dir"
 
@@ -120,7 +121,8 @@ run_static_lane
 # and htap_scan_test (streaming Scan/Aggregate over a live replica) join the
 # concurrency-sensitive lane set: TSan checks the reader/writer memory
 # ordering, ASan the inline-tower arena lifetimes. The DST ordered-index
-# oracle runs inside dst_test in every lane.
+# oracle runs inside dst_test in every lane. ASan also runs checkpoint_test,
+# whose hand-built files carry CRC-valid but out-of-range fields.
 # TSan also runs the replay suites (replica_test, property_test,
 # c5_core_test) and the park/wake primitives (queue_test,
 # event_count_test): every hand-off between a parked thread and the thread
@@ -130,13 +132,15 @@ run_static_lane
 # protocol under a live primary and concurrent readers) and query_fresh_test
 # (readers instantiating rows beside the ingest thread's publishes) cover
 # the one publish path, ReplicaBase::PublishVisible, that every protocol's
-# snapshot advance and lag report go through.
+# snapshot advance and lag report go through. session_test and failover_test
+# stop backups behind blocked sources and restart them: ReplicaBase::Stop
+# cancels the source from another thread while the scheduler is inside it.
 tsan_dir="${build_dir}-tsan"
 cmake -B "$tsan_dir" -S "$repo_root" -DC5_SANITIZE=thread >/dev/null
 cmake --build "$tsan_dir" -j "$jobs" --target dst_test cluster_test net_test \
   ordered_index_test htap_scan_test queue_test event_count_test \
   c5_core_test replica_test property_test checkpoint_test integration_test \
-  query_fresh_test
+  query_fresh_test session_test failover_test
 C5_DST_SEED_COUNT=16 "$tsan_dir/dst_test"
 "$tsan_dir/cluster_test"
 "$tsan_dir/net_test"
@@ -150,13 +154,16 @@ C5_DST_SEED_COUNT=16 "$tsan_dir/dst_test"
 "$tsan_dir/checkpoint_test"
 "$tsan_dir/integration_test"
 "$tsan_dir/query_fresh_test"
+"$tsan_dir/session_test"
+"$tsan_dir/failover_test"
 
 asan_dir="${build_dir}-asan"
 cmake -B "$asan_dir" -S "$repo_root" -DC5_SANITIZE=address >/dev/null
 cmake --build "$asan_dir" -j "$jobs" --target dst_test wire_test cluster_test \
-  net_test ordered_index_test htap_scan_test
+  net_test ordered_index_test htap_scan_test checkpoint_test
 C5_DST_SEED_COUNT=16 "$asan_dir/dst_test"
 "$asan_dir/wire_test"
+"$asan_dir/checkpoint_test"
 "$asan_dir/cluster_test"
 "$asan_dir/net_test"
 "$asan_dir/ordered_index_test"

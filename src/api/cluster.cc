@@ -29,9 +29,6 @@ void BackupNode::MakeProtocol() {
   // Per-node apply-stage sizing; Restart rebuilds with the same override.
   if (options_.replay_workers > 0) po.num_workers = options_.replay_workers;
   replica_ = core::MakeReplica(options_.protocol, &db_, po, options_.lag);
-  base_ = dynamic_cast<replica::ReplicaBase*>(replica_.get());
-  assert(base_ != nullptr &&
-         "every protocol in this repository derives ReplicaBase");
 }
 
 std::string BackupNode::id() const {
@@ -55,7 +52,7 @@ void BackupNode::Start(log::SegmentSource* source) {
     // inherited high-water mark IS the checkpoint (one version per row at
     // or below it), so the window is empty and only the resume point
     // matters.
-    base_->SetRecoveryWindow(restored_ts_, db_.MaxCommittedTimestamp());
+    replica_->SetRecoveryWindow(restored_ts_, db_.MaxCommittedTimestamp());
   }
   started_ = true;
   replica_->Start(source);
@@ -63,28 +60,20 @@ void BackupNode::Start(log::SegmentSource* source) {
 
 void BackupNode::Restart(log::SegmentSource* source) {
   const Timestamp resume =
-      started_ ? base_->VisibleTimestamp() : restored_ts_;
+      started_ ? replica_->VisibleTimestamp() : restored_ts_;
   replica_->Stop();
   // The surviving database may hold run-ahead writes above `resume` from
   // workers of the dead incarnation; until replay covers them again, the
   // states in between are not prefix-consistent and must stay unreadable.
   const Timestamp inherited = db_.MaxCommittedTimestamp();
   MakeProtocol();
-  base_->SetRecoveryWindow(resume, inherited);
+  replica_->SetRecoveryWindow(resume, inherited);
   started_ = true;
   replica_->Start(source);
 }
 
 void BackupNode::WaitUntilCaughtUp() {
   if (started_) replica_->WaitUntilCaughtUp();
-}
-
-void BackupNode::Stop() {
-  if (replica_ != nullptr) replica_->Stop();
-}
-
-Timestamp BackupNode::VisibleTimestamp() const {
-  return base_->VisibleTimestamp();
 }
 
 Status BackupNode::WriteCheckpoint(const std::string& path) {
@@ -97,9 +86,6 @@ std::unique_ptr<ha::PromotedPrimary> BackupNode::Promote(
   return ha::PromoteToPrimary(&db_, VisibleTimestamp(), kind,
                               /*segment_capacity=*/256, extra_sink);
 }
-
-replica::ReplicaBase& BackupNode::reader() { return *base_; }
-const replica::ReplicaBase& BackupNode::reader() const { return *base_; }
 
 // ---- Cluster ----------------------------------------------------------------
 

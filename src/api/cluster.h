@@ -122,18 +122,19 @@ class BackupNode {
   // incarnation's last published snapshot until the re-applied watermark
   // covers every run-ahead write it left behind, so the non-prefix states in
   // between are never observable (replica::ReplicaBase::SetRecoveryWindow).
-  // Implies Stop() of the previous incarnation — and DESTROYS it: any
-  // ReplicaBase* previously taken from reader() (e.g. in a BackupSet) is
-  // dead and must be re-pointed at the new reader() (BackupSet::Assign;
-  // Cluster::CatchUpSurvivors does this for its session fleet).
+  // Implies Stop() of the previous incarnation (cancelling its source) —
+  // and DESTROYS it: any ReplicaBase* previously taken from reader() (e.g.
+  // in a BackupSet) is dead and must be re-pointed at the new reader()
+  // (BackupSet::Assign; Cluster::CatchUpSurvivors does this for its session
+  // fleet).
   void Restart(log::SegmentSource* source);
 
   void WaitUntilCaughtUp();
-  void Stop();
+  void Stop() { replica_->Stop(); }
 
   // The read surface. Snapshots must not outlive the node.
   Snapshot OpenSnapshot() { return reader().OpenSnapshot(); }
-  Timestamp VisibleTimestamp() const;
+  Timestamp VisibleTimestamp() const { return replica_->VisibleTimestamp(); }
 
   // Writes a checkpoint of the current visible snapshot to `path`.
   Status WriteCheckpoint(const std::string& path);
@@ -150,9 +151,11 @@ class BackupNode {
   std::unique_ptr<ha::PromotedPrimary> Promote(
       ha::EngineKind kind, log::LogCollector* extra_sink = nullptr);
 
-  replica::ReplicaBase& reader();
-  const replica::ReplicaBase& reader() const;
-  replica::Replica& replica() { return *replica_; }
+  // The node's replica. Both names return the same object: reader() for
+  // the read surface, replica() for the lifecycle and stats.
+  replica::ReplicaBase& reader() { return *replica_; }
+  const replica::ReplicaBase& reader() const { return *replica_; }
+  replica::ReplicaBase& replica() { return *replica_; }
   storage::Database& db() { return db_; }
   const BackupOptions& options() const { return options_; }
 
@@ -165,8 +168,7 @@ class BackupNode {
 
   BackupOptions options_;
   storage::Database db_;
-  std::unique_ptr<replica::Replica> replica_;
-  replica::ReplicaBase* base_ = nullptr;
+  std::unique_ptr<replica::ReplicaBase> replica_;
   Timestamp restored_ts_ = 0;  // checkpoint restore point (0: none)
   bool started_ = false;
 };

@@ -128,9 +128,9 @@ class Snapshot {
   //
   // Streaming: the iterator walks the table's ordered index directly and
   // resolves one version per step — nothing is materialized up front, so a
-  // Scan costs O(1) allocations however wide the range (the PR-10 fix for
-  // the CollectRange-backed iterator, which copied and sorted the entire
-  // match set before the first Next()).
+  // Scan costs O(1) allocations however wide the range (unlike a scan
+  // backed by the hash index, which must copy and sort the entire match
+  // set before the first Next()).
   //
   //   for (auto it = snap.Scan(t, lo, hi); it.Valid(); it.Next())
   //     use(it.key(), it.value());

@@ -79,10 +79,6 @@ class MpmcQueue {
     cv_.NotifyAll();
   }
 
-  bool closed() const {
-    return closed_flag_.load(std::memory_order_acquire);
-  }
-
   std::size_t Size() const {
     MutexLock lock(mu_);
     return items_.size();

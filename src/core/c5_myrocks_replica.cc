@@ -13,10 +13,6 @@ namespace c5::core {
 // ---------------------------------------------------------------------------
 // TxnDispatchQueue
 
-void C5MyRocksReplica::TxnDispatchQueue::Push(TxnUnit txn) {
-  PushBatch(&txn, 1);
-}
-
 void C5MyRocksReplica::TxnDispatchQueue::PushBatch(const TxnUnit* txns,
                                                    std::size_t count) {
   if (count == 0) return;
@@ -129,11 +125,6 @@ Timestamp C5MyRocksReplica::TxnDispatchQueue::MinUnapplied() const {
   return min_ts;
 }
 
-std::size_t C5MyRocksReplica::TxnDispatchQueue::SizeApprox() const {
-  MutexLock lock(mu_);
-  return queue_.size();
-}
-
 // ---------------------------------------------------------------------------
 // C5MyRocksReplica
 
@@ -143,23 +134,23 @@ C5MyRocksReplica::C5MyRocksReplica(storage::Database* db, Options options,
       options_(options),
       dispatch_(options.num_workers) {}
 
-void C5MyRocksReplica::Start(log::SegmentSource* source) {
+void C5MyRocksReplica::StartThreads() {
   workers_running_.store(options_.num_workers, std::memory_order_release);
-  threads_.emplace_back([this, source] { SchedulerLoop(source); });
+  Spawn([this] { SchedulerLoop(); });
   for (int i = 0; i < options_.num_workers; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    Spawn([this, i] { WorkerLoop(i); });
   }
-  threads_.emplace_back([this] { SnapshotterLoop(); });
+  Spawn([this] { SnapshotterLoop(); });
 }
 
-void C5MyRocksReplica::SchedulerLoop(log::SegmentSource* source) {
+void C5MyRocksReplica::SchedulerLoop() {
   // Same embedded-FIFO preprocessing as C5Replica (§5.1 leverages the
   // existing row-based log; the per-row ordering metadata is identical),
   // through the same pre-sized flat map.
   FlatMap<Timestamp> last_write_ts(options_.scheduler_map_capacity);
   std::vector<TxnUnit> batch;  // one segment's transactions, reused
 
-  while (log::LogSegment* seg = source->Next()) {
+  while (log::LogSegment* seg = NextSegment()) {
     std::size_t txn_start = 0;
     auto& records = seg->records();
     batch.clear();
@@ -391,23 +382,14 @@ void C5MyRocksReplica::SnapshotterLoop() {
       db_->CollectGarbage(GcHorizon());
     }
 
-    if (shutdown_.load(std::memory_order_acquire)) break;
     if (scheduler_done_.load(std::memory_order_acquire) &&
         workers_running_.load(std::memory_order_acquire) == 0) {
       PublishVisible(watermark_.load(std::memory_order_acquire));
       break;
     }
+    if (stopping()) break;
     ticker.Wait();
   }
-}
-
-void C5MyRocksReplica::Stop() {
-  shutdown_.store(true, std::memory_order_release);
-  dispatch_.Close();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
 }
 
 }  // namespace c5::core

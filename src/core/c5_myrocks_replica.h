@@ -8,7 +8,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/mutex.h"
@@ -59,7 +58,6 @@ class C5MyRocksReplica : public replica::ReplicaBase {
                    replica::LagTracker* lag = nullptr);
   ~C5MyRocksReplica() override { Stop(); }
 
-  void Start(log::SegmentSource* source) override;
   // The log is exhausted, every worker has exited, and the snapshotter has
   // published the scheduled watermark.
   bool CaughtUp() const override {
@@ -67,7 +65,6 @@ class C5MyRocksReplica : public replica::ReplicaBase {
            workers_running_.load(std::memory_order_acquire) == 0 &&
            VisibleTimestamp() >= watermark_.load(std::memory_order_acquire);
   }
-  void Stop() override;
   std::string name() const override { return "c5-myrocks"; }
 
  private:
@@ -88,7 +85,6 @@ class C5MyRocksReplica : public replica::ReplicaBase {
     explicit TxnDispatchQueue(int num_workers)
         : inflight_(num_workers, kMaxTimestamp) {}
 
-    void Push(TxnUnit txn);
     // Enqueues a whole segment's transactions under ONE mutex acquisition
     // and at most one wakeup. The scheduler dispatches per segment; pushing
     // per transaction costs a futex notify per commit at live-primary rates
@@ -116,8 +112,6 @@ class C5MyRocksReplica : public replica::ReplicaBase {
     // outstanding). Everything strictly below is applied.
     Timestamp MinUnapplied() const;
 
-    std::size_t SizeApprox() const;
-
    private:
     mutable Mutex mu_{LockRank::kQueue};
     CondVar cv_;
@@ -128,7 +122,8 @@ class C5MyRocksReplica : public replica::ReplicaBase {
     alignas(64) std::atomic<std::size_t> size_hint_{0};
   };
 
-  void SchedulerLoop(log::SegmentSource* source);
+  void StartThreads() override;
+  void SchedulerLoop();
   void WorkerLoop(int idx);
   void SnapshotterLoop();
 
@@ -142,9 +137,6 @@ class C5MyRocksReplica : public replica::ReplicaBase {
 
   std::atomic<bool> scheduler_done_{false};
   std::atomic<int> workers_running_{0};
-  std::atomic<bool> shutdown_{false};
-
-  std::vector<std::thread> threads_;
 };
 
 }  // namespace c5::core

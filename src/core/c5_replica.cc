@@ -18,14 +18,14 @@ C5Replica::C5Replica(storage::Database* db, Options options,
   }
 }
 
-void C5Replica::Start(log::SegmentSource* source) {
+void C5Replica::StartThreads() {
   workers_running_.store(options_.num_workers, std::memory_order_release);
-  threads_.emplace_back([this, source] { SchedulerLoop(source); });
+  Spawn([this] { SchedulerLoop(); });
   for (int i = 0; i < options_.num_workers; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    Spawn([this, i] { WorkerLoop(i); });
   }
   if (options_.gc_every > 0 || Checkpointing()) {
-    threads_.emplace_back([this] { MaintenanceLoop(); });
+    Spawn([this] { MaintenanceLoop(); });
   }
 }
 
@@ -54,7 +54,7 @@ void C5Replica::ReleaseBatch(Batch* batch) {
   batch_free_.push_back(batch);
 }
 
-void C5Replica::SchedulerLoop(log::SegmentSource* source) {
+void C5Replica::SchedulerLoop() {
   // Row id -> timestamp of the last write seen for it. This is the entire
   // scheduler state (§7.2): per-row FIFOs are embedded in the log via
   // prev_timestamp instead of being materialized. A pre-sized flat map
@@ -65,7 +65,7 @@ void C5Replica::SchedulerLoop(log::SegmentSource* source) {
   const std::size_t nw = workers_.size();
   std::vector<Batch*> out(nw, nullptr);
 
-  while (log::LogSegment* seg = source->Next()) {
+  while (log::LogSegment* seg = NextSegment()) {
     for (log::LogRecord& rec : seg->records()) {
       const std::uint64_t name = RowName(rec.table, rec.row);
       Timestamp& last = last_write_ts[name];
@@ -122,10 +122,6 @@ void C5Replica::SchedulerLoop(log::SegmentSource* source) {
     work_event_.NotifyAll();
   }
   scheduler_done_.store(true, std::memory_order_release);
-  CloseWorkerQueues();
-}
-
-void C5Replica::CloseWorkerQueues() {
   for (auto& w : workers_) w->queue.Close();
   work_event_.NotifyAll();
 }
@@ -200,7 +196,6 @@ void C5Replica::WorkerLoop(int idx) {
   };
 
   int idle_spins = 0;
-  bool end_of_log = false;
   while (true) {
     // Read the watermark BEFORE checking the queue (see SchedulerLoop).
     const Timestamp idle_floor = watermark_.load(std::memory_order_acquire);
@@ -222,10 +217,8 @@ void C5Replica::WorkerLoop(int idx) {
       }
       publish_c_prime(idle_floor);
       if (me.queue.closed()) {
-        // Read before the re-check: once the scheduler is done, every batch
-        // it will ever push is already visible to the TryPop below.
-        end_of_log = scheduler_done_.load(std::memory_order_acquire);
-        // Re-check after observing closure (a batch may have raced in).
+        // Only the scheduler closes the queue, after its last push: the
+        // re-check below sees every batch it will ever hand over.
         batch_opt = me.queue.TryPop();
         if (!batch_opt.has_value()) break;
       } else {
@@ -285,13 +278,12 @@ void C5Replica::WorkerLoop(int idx) {
     ReleaseBatch(batch);
   }
 
-  // The loop only exits with no deferred writes left. At end of log this
-  // worker will execute nothing more, so its c' stops constraining the
-  // snapshot, and the last worker out publishes the whole log. A Stop()
-  // mid-stream keeps the idle floor published above: the scheduler may
-  // still push batches this worker will never apply.
+  // The loop only exits at end of log (a Stop() included) with no deferred
+  // writes left: this worker will execute nothing more, so its c' stops
+  // constraining the snapshot, and the last worker out publishes the whole
+  // scheduled log.
   MergeApplyLatency(apply_latency);
-  if (end_of_log) publish_c_prime(kMaxTimestamp);
+  publish_c_prime(kMaxTimestamp);
   workers_running_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
@@ -335,7 +327,7 @@ void C5Replica::MaintenanceLoop() {
       if (checkpointing) checkpoint();
       break;
     }
-    if (shutdown_.load(std::memory_order_acquire)) break;
+    if (stopping()) break;
     ticker.Wait();
   }
 }
@@ -349,15 +341,6 @@ std::vector<C5Replica::WorkerLoad> C5Replica::WorkerLoads() const {
                    w->cpu_ns.load(std::memory_order_acquire)});
   }
   return loads;
-}
-
-void C5Replica::Stop() {
-  shutdown_.store(true, std::memory_order_release);
-  CloseWorkerQueues();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
 }
 
 }  // namespace c5::core

@@ -23,7 +23,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "storage/checkpoint.h"
@@ -115,7 +114,6 @@ class C5Replica : public replica::ReplicaBase {
             replica::LagTracker* lag = nullptr);
   ~C5Replica() override { Stop(); }
 
-  void Start(log::SegmentSource* source) override;
   // The log is exhausted, every worker has exited, and the snapshot covers
   // the scheduled watermark.
   bool CaughtUp() const override {
@@ -123,7 +121,6 @@ class C5Replica : public replica::ReplicaBase {
            workers_running_.load(std::memory_order_acquire) == 0 &&
            VisibleTimestamp() >= watermark_.load(std::memory_order_acquire);
   }
-  void Stop() override;
   std::string name() const override { return "c5"; }
 
   // Largest commit timestamp fully scheduled (diagnostics / tests).
@@ -166,9 +163,8 @@ class C5Replica : public replica::ReplicaBase {
     std::atomic<std::uint64_t> cpu_ns{0};
   };
 
-  void SchedulerLoop(log::SegmentSource* source);
-  // Closes every worker queue and wakes parked workers (end of log, Stop).
-  void CloseWorkerQueues();
+  void StartThreads() override;
+  void SchedulerLoop();
   void WorkerLoop(int idx);
   // Advances the visible snapshot to min(watermark, min c'). Called by a
   // worker after every c' it publishes; monotone, so concurrent callers
@@ -212,15 +208,12 @@ class C5Replica : public replica::ReplicaBase {
   std::atomic<Timestamp> last_checkpoint_ts_{0};
   std::atomic<bool> scheduler_done_{false};
   std::atomic<int> workers_running_{0};
-  std::atomic<bool> shutdown_{false};
 
   // Batch pool: the scheduler acquires, workers release. Locked once per
   // batch on each side; batch_storage_ owns every batch ever created.
   SpinLock pool_lock_{LockRank::kReplicaState};
   std::vector<std::unique_ptr<Batch>> batch_storage_ C5_GUARDED_BY(pool_lock_);
   std::vector<Batch*> batch_free_ C5_GUARDED_BY(pool_lock_);
-
-  std::vector<std::thread> threads_;
 };
 
 }  // namespace c5::core

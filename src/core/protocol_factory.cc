@@ -35,7 +35,7 @@ const char* ToString(ProtocolKind kind) {
 
 namespace {
 
-std::unique_ptr<replica::Replica> MakeReplicaImpl(
+std::unique_ptr<replica::ReplicaBase> MakeReplicaImpl(
     ProtocolKind kind, storage::Database* db, const ProtocolOptions& options,
     replica::LagTracker* lag) {
   switch (kind) {
@@ -88,19 +88,14 @@ std::unique_ptr<replica::Replica> MakeReplicaImpl(
 
 }  // namespace
 
-std::unique_ptr<replica::Replica> MakeReplica(ProtocolKind kind,
-                                              storage::Database* db,
-                                              const ProtocolOptions& options,
-                                              replica::LagTracker* lag) {
-  std::unique_ptr<replica::Replica> replica =
+std::unique_ptr<replica::ReplicaBase> MakeReplica(
+    ProtocolKind kind, storage::Database* db, const ProtocolOptions& options,
+    replica::LagTracker* lag) {
+  std::unique_ptr<replica::ReplicaBase> replica =
       MakeReplicaImpl(kind, db, options, lag);
-  // Cross-protocol construction hook: the stable instance id. Every protocol
-  // in this repository derives ReplicaBase, so the cast cannot fail for
-  // in-tree kinds.
+  // Cross-protocol construction hook: the stable instance id.
   if (replica != nullptr && !options.instance_id.empty()) {
-    if (auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get())) {
-      base->SetInstanceId(options.instance_id);
-    }
+    replica->SetInstanceId(options.instance_id);
   }
   return replica;
 }

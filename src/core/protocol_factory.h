@@ -11,7 +11,7 @@
 namespace c5::core {
 
 // Every cloned concurrency control protocol in this repository, constructible
-// behind the common replica::Replica interface. Used by the parameterized
+// behind their common base class, replica::ReplicaBase. Used by the parameterized
 // test suites and the benchmark harness.
 enum class ProtocolKind {
   kC5 = 0,              // §7.2 faithful design (embedded prev_ts scheduler)
@@ -46,7 +46,7 @@ struct ProtocolOptions {
   std::string instance_id;
 };
 
-std::unique_ptr<replica::Replica> MakeReplica(
+std::unique_ptr<replica::ReplicaBase> MakeReplica(
     ProtocolKind kind, storage::Database* db, const ProtocolOptions& options,
     replica::LagTracker* lag = nullptr);
 

@@ -52,8 +52,8 @@ struct PromotedPrimary {
 //
 // Preconditions the caller establishes before calling:
 //  * the replica consuming `db` was caught up to its delivered log
-//    (Replica::WaitUntilCaughtUp) and Stopped — `applied_upto` is its final
-//    VisibleTimestamp(), covering every applied transaction;
+//    (ReplicaBase::WaitUntilCaughtUp) and Stopped — `applied_upto` is its
+//    final VisibleTimestamp(), covering every applied transaction;
 //  * no other thread touches `db` during promotion.
 //
 // The returned primary's clock starts at applied_upto + 1, so every new

@@ -64,6 +64,9 @@ class ChainedSegmentSource : public log::SegmentSource {
     }
     return nullptr;
   }
+  void Cancel() override {
+    for (log::SegmentSource* s : sources_) s->Cancel();
+  }
 
  private:
   std::vector<log::SegmentSource*> sources_;

@@ -1,6 +1,5 @@
 #include "index/hash_index.h"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -171,22 +170,6 @@ void HashIndex::ForEach(
       }
     }
   }
-}
-
-void HashIndex::CollectRange(Key lo, Key hi,
-                             std::vector<std::pair<Key, RowId>>* out) const {
-  for (int i = 0; i < shard_count_; ++i) {
-    const Shard& shard = shards_[i];
-    SpinLockGuard lock(shard.lock);
-    for (const Shard::Slot& slot : shard.slots) {
-      if (slot.key == Shard::kEmpty || slot.key == Shard::kTombstone) {
-        continue;
-      }
-      const Key key = slot.key - 2;
-      if (key >= lo && key < hi) out->emplace_back(key, slot.row);
-    }
-  }
-  std::sort(out->begin(), out->end());
 }
 
 std::size_t HashIndex::Size() const {

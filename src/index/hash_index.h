@@ -88,15 +88,6 @@ class HashIndex {
   // stable).
   void ForEach(const std::function<void(Key, RowId, Timestamp)>& fn) const;
 
-  // Collects every entry with lo <= key < hi into *out, sorted by key
-  // ascending. The hash index has no key order, so this visits every shard
-  // (one lock at a time) and sorts: O(entries + matches log matches). This
-  // is the backing primitive for Snapshot::Scan — adequate for an embedded
-  // read surface; an ordered secondary index would replace it if range reads
-  // ever become a hot path.
-  void CollectRange(Key lo, Key hi,
-                    std::vector<std::pair<Key, RowId>>* out) const;
-
  private:
   // Open-addressing table with linear probing and tombstones. Slot states
   // are encoded in the key field; user keys are stored +2 so that raw keys
@@ -115,7 +106,7 @@ class HashIndex {
     enum class Mode { kKeepExisting, kOverwrite, kIfNewer };
 
     // Non-reentrant (rank kIndexShard): code running under it — including
-    // every ForEach/CollectRange callback — must not call back into the
+    // every ForEach callback — must not call back into the
     // index. The PR-6 self-deadlock class (ForEach -> ReadKeyAt -> Lookup)
     // now aborts instantly under the lock-rank registry instead of hanging.
     mutable SpinLock lock{LockRank::kIndexShard};

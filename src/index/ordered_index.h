@@ -15,8 +15,8 @@
 namespace c5::index {
 
 // Concurrent ordered secondary index mapping keys to internal row ids — the
-// range-read companion to HashIndex. HashIndex::CollectRange visited every
-// entry in the index per scan (O(total-keys)); this index backs
+// range-read companion to HashIndex, which can only visit every entry in the
+// index per scan (O(total-keys)); this index backs
 // Snapshot::Scan with a walk whose cost is O(log n + matches), so range
 // reads and aggregation pushdown on backups (the HTAP read surface) scale
 // with the result size, not the table size.

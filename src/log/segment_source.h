@@ -16,10 +16,16 @@ namespace c5::log {
 // Uniform input for replica protocols: a stream of log segments in log order.
 // Next() blocks until a segment is available and returns nullptr at
 // end-of-log. Only the backup's scheduler thread calls Next().
+//
+// Cancel() (any thread; idempotent) ends the log early: Next() stops
+// blocking and soon returns nullptr (a channel first hands over what it
+// already holds). ReplicaBase::Stop() calls it; sources that never block
+// need not override it.
 class SegmentSource {
  public:
   virtual ~SegmentSource() = default;
   virtual LogSegment* Next() = 0;
+  virtual void Cancel() {}
 };
 
 // Replays a prebuilt (coalesced) log: the offline methodology the paper uses
@@ -76,6 +82,7 @@ class DelayedSegmentSource : public SegmentSource {
     }
     return seg;
   }
+  void Cancel() override { inner_->Cancel(); }
 
  private:
   SegmentSource* inner_;
@@ -85,7 +92,8 @@ class DelayedSegmentSource : public SegmentSource {
 
 // Delivers the first `gate_at` segments of a log, then blocks until Open()
 // is called, then delivers the rest (replica stall injection: models a
-// paused shipping channel or an unresponsive backup).
+// paused shipping channel or an unresponsive backup). Cancel() ends the log
+// at the gate.
 class GatedSegmentSource : public SegmentSource {
  public:
   GatedSegmentSource(Log* log, std::size_t gate_at)
@@ -97,20 +105,25 @@ class GatedSegmentSource : public SegmentSource {
     if (pos_ >= log_->NumSegments()) return nullptr;
     if (pos_ >= gate_at_) {
       while (!open_.load(std::memory_order_acquire)) {
+        if (cancelled_.load(std::memory_order_acquire)) return nullptr;
         std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
     }
     return log_->segment(pos_++);
   }
+  void Cancel() override { cancelled_.store(true, std::memory_order_release); }
 
  private:
   Log* log_;
   const std::size_t gate_at_;
   std::atomic<bool> open_{false};
+  std::atomic<bool> cancelled_{false};
   std::size_t pos_ = 0;
 };
 
 // Streams segments from an online primary through an SPSC channel.
+// Cancel() closes the channel: the consumer stops, and the producer's Push
+// fails instead of blocking the primary's sequencer on a full channel.
 class ChannelSegmentSource : public SegmentSource {
  public:
   explicit ChannelSegmentSource(SpscQueue<LogSegment*>* channel)
@@ -120,6 +133,7 @@ class ChannelSegmentSource : public SegmentSource {
     auto seg = channel_->Pop();
     return seg.has_value() ? *seg : nullptr;
   }
+  void Cancel() override { channel_->Close(); }
 
  private:
   SpscQueue<LogSegment*>* channel_;

@@ -100,7 +100,7 @@ class SocketSegmentSource : public log::SegmentSource {
 
   // Wakes a blocked Next() and makes it (and every later call) return
   // nullptr. Callable from any thread; idempotent.
-  void Cancel();
+  void Cancel() override;
 
   const Stats& stats() const { return stats_; }
   // Non-empty after Next() returned nullptr for a reason other than a

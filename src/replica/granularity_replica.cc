@@ -42,22 +42,22 @@ std::uint64_t GranularityReplica::KeyFor(const log::LogRecord& rec) const {
   return RowName(rec.table, rec.row);
 }
 
-void GranularityReplica::Start(log::SegmentSource* source) {
-  threads_.emplace_back([this, source] { SchedulerLoop(source); });
+void GranularityReplica::StartThreads() {
+  Spawn([this] { SchedulerLoop(); });
   for (int i = 0; i < options_.num_workers; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
+    Spawn([this] { WorkerLoop(); });
   }
-  threads_.emplace_back([this] {
-    PrefixVisibilityLoop(prefix_, options_.visibility_interval, shutdown_);
+  Spawn([this] {
+    PrefixVisibilityLoop(prefix_, options_.visibility_interval);
   });
 }
 
-void GranularityReplica::SchedulerLoop(log::SegmentSource* source) {
+void GranularityReplica::SchedulerLoop() {
   std::uint64_t seq = 0;
   Timestamp final_boundary = 0;
   std::vector<KeyQueue*> batch;
   batch.reserve(kHandoffBatch);
-  while (log::LogSegment* seg = source->Next()) {
+  while (log::LogSegment* seg = NextSegment()) {
     for (const log::LogRecord& rec : seg->records()) {
       if (rec.last_in_txn && rec.commit_ts > final_boundary) {
         final_boundary = rec.commit_ts;
@@ -155,15 +155,6 @@ void GranularityReplica::FinishWrites(std::uint64_t n) {
     all_applied_.store(true, std::memory_order_release);
     sched_queue_.Close();
   }
-}
-
-void GranularityReplica::Stop() {
-  shutdown_.store(true, std::memory_order_release);
-  sched_queue_.Close();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
 }
 
 }  // namespace c5::replica

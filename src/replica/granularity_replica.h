@@ -7,7 +7,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -63,7 +62,6 @@ class GranularityReplica : public ReplicaBase {
                      LagTracker* lag = nullptr);
   ~GranularityReplica() override { Stop(); }
 
-  void Start(log::SegmentSource* source) override;
   // Every record applied and walked by the prefix tracker, and the
   // published snapshot at the last transaction boundary the scheduler saw:
   // the visibility thread publishes after the tracker advances, so right
@@ -76,17 +74,7 @@ class GranularityReplica : public ReplicaBase {
            VisibleTimestamp() >=
                final_boundary_ts_.load(std::memory_order_acquire);
   }
-  void Stop() override;
   std::string name() const override;
-
-  // Diagnostics (tests/benches).
-  bool scheduler_done() const {
-    return scheduler_done_.load(std::memory_order_acquire);
-  }
-  std::size_t sched_queue_size() const { return sched_queue_.Size(); }
-  std::uint64_t outstanding_writes() const {
-    return outstanding_writes_.load(std::memory_order_acquire);
-  }
 
  private:
   struct WriteRef {
@@ -104,7 +92,8 @@ class GranularityReplica : public ReplicaBase {
 
   std::uint64_t KeyFor(const log::LogRecord& rec) const;
 
-  void SchedulerLoop(log::SegmentSource* source);
+  void StartThreads() override;
+  void SchedulerLoop();
   void WorkerLoop();
   void FinishWrites(std::uint64_t n);
 
@@ -133,9 +122,6 @@ class GranularityReplica : public ReplicaBase {
   // visibility watermark must reach before the replica is caught up.
   std::atomic<Timestamp> final_boundary_ts_{0};
   std::atomic<bool> all_applied_{false};
-  std::atomic<bool> shutdown_{false};
-
-  std::vector<std::thread> threads_;
 };
 
 }  // namespace c5::replica

@@ -10,17 +10,17 @@ KuaFuReplica::KuaFuReplica(storage::Database* db, Options options,
                            LagTracker* lag)
     : ReplicaBase(db, lag), options_(options) {}
 
-void KuaFuReplica::Start(log::SegmentSource* source) {
-  threads_.emplace_back([this, source] { SchedulerLoop(source); });
+void KuaFuReplica::StartThreads() {
+  Spawn([this] { SchedulerLoop(); });
   for (int i = 0; i < options_.num_workers; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
+    Spawn([this] { WorkerLoop(); });
   }
-  threads_.emplace_back([this] {
-    PrefixVisibilityLoop(prefix_, options_.visibility_interval, shutdown_);
+  Spawn([this] {
+    PrefixVisibilityLoop(prefix_, options_.visibility_interval);
   });
 }
 
-void KuaFuReplica::SchedulerLoop(log::SegmentSource* source) {
+void KuaFuReplica::SchedulerLoop() {
   // Per-row last-writer map. Transaction-granularity dependency rule (§3.1):
   // "if W(T1) ∩ W(T2) != ∅ and T1 ≺ T2, then all of T1's writes execute
   // before any of T2's." Last-writer edges enforce exactly this: per-row
@@ -30,7 +30,7 @@ void KuaFuReplica::SchedulerLoop(log::SegmentSource* source) {
   Timestamp final_boundary = 0;
 
   TxnNode* open = nullptr;
-  while (log::LogSegment* seg = source->Next()) {
+  while (log::LogSegment* seg = NextSegment()) {
     for (const log::LogRecord& rec : seg->records()) {
       if (open == nullptr) {
         nodes_.push_back(std::make_unique<TxnNode>());
@@ -131,15 +131,6 @@ void KuaFuReplica::ReleaseDependents(TxnNode* node) {
     children.swap(node->children);
   }
   for (TxnNode* child : children) MaybeReady(child);
-}
-
-void KuaFuReplica::Stop() {
-  shutdown_.store(true, std::memory_order_release);
-  ready_.Close();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
 }
 
 }  // namespace c5::replica

@@ -7,7 +7,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -54,7 +53,6 @@ class KuaFuReplica : public ReplicaBase {
                LagTracker* lag = nullptr);
   ~KuaFuReplica() override { Stop(); }
 
-  void Start(log::SegmentSource* source) override;
   // Every transaction applied and walked by the prefix tracker, and the
   // published snapshot at the last transaction boundary the scheduler
   // closed (see GranularityReplica::CaughtUp for why all three).
@@ -65,7 +63,6 @@ class KuaFuReplica : public ReplicaBase {
            VisibleTimestamp() >=
                final_boundary_ts_.load(std::memory_order_acquire);
   }
-  void Stop() override;
   std::string name() const override {
     return options_.unconstrained ? "kuafu-unconstrained" : "kuafu";
   }
@@ -96,7 +93,8 @@ class KuaFuReplica : public ReplicaBase {
     }
   };
 
-  void SchedulerLoop(log::SegmentSource* source);
+  void StartThreads() override;
+  void SchedulerLoop();
   void WorkerLoop();
   void ReleaseDependents(TxnNode* node);
   void MaybeReady(TxnNode* node) {
@@ -121,9 +119,6 @@ class KuaFuReplica : public ReplicaBase {
   // visibility watermark must reach before the replica is caught up.
   std::atomic<Timestamp> final_boundary_ts_{0};
   std::atomic<bool> all_applied_{false};
-  std::atomic<bool> shutdown_{false};
-
-  std::vector<std::thread> threads_;
 };
 
 }  // namespace c5::replica

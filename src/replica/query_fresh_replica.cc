@@ -47,17 +47,17 @@ QueryFreshReplica::QueryFreshReplica(storage::Database* db, Options options,
                                      LagTracker* lag)
     : ReplicaBase(db, lag), options_(options) {}
 
-void QueryFreshReplica::Start(log::SegmentSource* source) {
+void QueryFreshReplica::StartThreads() {
   // Schema is fixed before replication starts (§2.2: DDL is out of scope).
   row_maps_.resize(db_->NumTables());
   for (auto& map : row_maps_) {
     if (map == nullptr) map = std::make_unique<RowStateMap>();
   }
-  ingest_thread_ = std::thread([this, source] { IngestLoop(source); });
+  Spawn([this] { IngestLoop(); });
 }
 
-void QueryFreshReplica::IngestLoop(log::SegmentSource* source) {
-  while (log::LogSegment* seg = source->Next()) {
+void QueryFreshReplica::IngestLoop() {
+  while (log::LogSegment* seg = NextSegment()) {
     for (const log::LogRecord& rec : seg->records()) {
       storage::Table& table = db_->table(rec.table);
       table.EnsureRow(rec.row);
@@ -158,10 +158,6 @@ void QueryFreshReplica::WaitUntilCaughtUp() {
   if (!options_.leave_lazy_after_catchup) {
     InstantiateAll(kMaxTimestamp);
   }
-}
-
-void QueryFreshReplica::Stop() {
-  if (ingest_thread_.joinable()) ingest_thread_.join();
 }
 
 }  // namespace c5::replica

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/spin_lock.h"
@@ -68,12 +67,10 @@ class QueryFreshReplica : public ReplicaBase {
                     LagTracker* lag = nullptr);
   ~QueryFreshReplica() override { Stop(); }
 
-  void Start(log::SegmentSource* source) override;
   bool CaughtUp() const override {
     return ingest_done_.load(std::memory_order_acquire);
   }
   void WaitUntilCaughtUp() override;
-  void Stop() override;
   std::string name() const override { return "query-fresh"; }
 
   // Instantiates (replays) all of `row`'s pending writes with commit
@@ -178,7 +175,8 @@ class QueryFreshReplica : public ReplicaBase {
     SpinLock grow_mu_{LockRank::kStorage};
   };
 
-  void IngestLoop(log::SegmentSource* source);
+  void StartThreads() override;
+  void IngestLoop();
 
   // Drains every pending redo list up to `ts` (single caller thread).
   void InstantiateAll(Timestamp ts);
@@ -192,8 +190,6 @@ class QueryFreshReplica : public ReplicaBase {
   std::atomic<std::uint64_t> backlog_{0};
   std::atomic<std::uint64_t> instantiation_conflicts_{0};
   std::atomic<bool> ingest_done_{false};
-
-  std::thread ingest_thread_;
 };
 
 }  // namespace c5::replica

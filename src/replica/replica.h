@@ -1,4 +1,4 @@
-// Replica interface and shared backup plumbing.
+// The base class of every backup protocol, and its shared plumbing.
 //
 // Invariants every protocol implementation must preserve:
 //  * VisibleTimestamp() is monotonic and always lands on a transaction
@@ -13,6 +13,14 @@
 //  * After SetRecoveryWindow, no snapshot inside the window is ever
 //    published: a restarted replica's readers can never observe the
 //    non-prefix states left by a dead incarnation's run-ahead writes.
+//
+// The lifecycle contract: Start(source) records the source and spawns the
+// protocol's threads through ReplicaBase::Spawn; schedulers read the log
+// only through NextSegment(). Stop() ends them from any point in the log: it
+// sets the stop flag, cancels the source (SegmentSource::Cancel wakes a
+// blocked Next()), and joins. A cancelled source is end of log: each
+// protocol takes its end-of-log path, workers finish what was dispatched,
+// and the last snapshot is still a transaction-aligned prefix point.
 //
 // The publish contract: ReplicaBase::PublishVisible is the one place a
 // snapshot advance happens. Only a publish that actually moves the
@@ -39,6 +47,8 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/histogram.h"
 #include "common/mutex.h"
@@ -72,51 +82,48 @@ struct ReplicaStats {
 //
 // Lifecycle: construct -> Start(source) -> [primary runs / offline replay]
 // -> WaitUntilCaughtUp() -> Stop(). Start spawns the protocol's threads
-// (scheduler, workers, snapshotter as applicable); they exit once `source`
-// returns nullptr and all writes are applied and visible.
-class Replica {
- public:
-  virtual ~Replica() = default;
-
-  virtual void Start(log::SegmentSource* source) = 0;
-
-  // Blocks until the log is exhausted, every write is applied, and the
-  // visibility watermark covers the whole log. Call before Stop().
-  virtual void WaitUntilCaughtUp() = 0;
-
-  // Joins all protocol threads. Idempotent.
-  virtual void Stop() = 0;
-
-  // MPC read point: read-only transactions reading at this timestamp observe
-  // a state that (a) reflects a contiguous prefix of the primary's log and
-  // (b) only advances (§2.3).
-  virtual Timestamp VisibleTimestamp() const = 0;
-
-  virtual storage::Database& db() = 0;
-  virtual ReplicaStats& stats() = 0;
-  virtual std::string name() const = 0;
-};
-
-// Shared plumbing: visibility watermark and its one publish path (snapshot
-// count, lag report), the caught-up wait, snapshot read surface, reader
-// registration for GC horizons, the recovery visibility window.
-class ReplicaBase : public Replica {
+// (scheduler, workers, snapshotter as applicable); they exit once the log
+// ends or Stop() cancels it, and all dispatched writes are applied.
+class ReplicaBase {
  public:
   // `lag` (optional, not owned) receives every snapshot advance.
   explicit ReplicaBase(storage::Database* db, LagTracker* lag = nullptr)
       : db_(db), lag_(lag) {}
+  // Derived destructors call Stop() first: their members must outlive the
+  // threads that use them.
+  virtual ~ReplicaBase() = default;
 
-  storage::Database& db() override { return *db_; }
-  ReplicaStats& stats() override { return stats_; }
+  // Records `source` (which must outlive the replica's threads) and spawns
+  // the protocol's threads. Call once.
+  void Start(log::SegmentSource* source) {
+    source_ = source;
+    StartThreads();
+  }
+
+  // Ends replication wherever the log is (see the lifecycle contract above).
+  // Idempotent: only the first call after Start touches the source, so the
+  // destructor's call is safe once the source is gone.
+  void Stop() {
+    stopping_.store(true, std::memory_order_release);
+    if (threads_.empty()) return;
+    source_->Cancel();
+    for (std::thread& t : threads_) t.join();
+    threads_.clear();
+  }
+
+  storage::Database& db() { return *db_; }
+  ReplicaStats& stats() { return stats_; }
+  virtual std::string name() const = 0;
 
   // True once the log is exhausted, every write is applied, and the
   // published snapshot covers the whole log: the protocol's own statement
   // of the WaitUntilCaughtUp contract. Non-blocking; any thread.
   virtual bool CaughtUp() const = 0;
 
-  // A sleep poll over CaughtUp(), not a spin: the wait lasts the whole
-  // replay.
-  void WaitUntilCaughtUp() override {
+  // Blocks until the log is exhausted, every write is applied, and the
+  // visibility watermark covers the whole log. Call before Stop(). A sleep
+  // poll over CaughtUp(), not a spin: the wait lasts the whole replay.
+  virtual void WaitUntilCaughtUp() {
     while (!CaughtUp()) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
@@ -137,7 +144,10 @@ class ReplicaBase : public Replica {
     return instance_id_.empty() ? name() : instance_id_ + "(" + name() + ")";
   }
 
-  Timestamp VisibleTimestamp() const override {
+  // MPC read point: read-only transactions reading at this timestamp observe
+  // a state that (a) reflects a contiguous prefix of the primary's log and
+  // (b) only advances (§2.3).
+  Timestamp VisibleTimestamp() const {
     return visible_ts_.load(std::memory_order_acquire);
   }
 
@@ -231,6 +241,27 @@ class ReplicaBase : public Replica {
   }
 
  protected:
+  // Spawns the protocol's threads through Spawn(); called by Start() once
+  // the source is recorded.
+  virtual void StartThreads() = 0;
+
+  // Adds a protocol thread; Stop() joins it.
+  template <typename Fn>
+  void Spawn(Fn&& fn) {
+    threads_.emplace_back(std::forward<Fn>(fn));
+  }
+
+  // True once Stop() has begun. Background loops (visibility, maintenance)
+  // exit on it.
+  bool stopping() const { return stopping_.load(std::memory_order_acquire); }
+
+  // The next segment of the log, or nullptr at end of log — which a stop
+  // forces, so finite sources end early too. The only way a scheduler or
+  // ingest loop reads the log.
+  log::LogSegment* NextSegment() {
+    return stopping() ? nullptr : source_->Next();
+  }
+
   // Applies one log record through the shared replicated-write primitive
   // (storage::Database::ApplyReplicated): binds the key if the record may
   // create its row, then installs it iff the row holds `prev_ts`.
@@ -288,15 +319,14 @@ class ReplicaBase : public Replica {
   // Visibility thread body for protocols that apply out of log order
   // (KuaFu, the granularity replicas): every `interval`, publishes the
   // transaction-aligned applied prefix `prefix` has walked, until the
-  // replica is caught up or `stop` is set, then sweeps once more. The
-  // calling thread is `prefix`'s single advancer.
+  // replica is caught up or stopping, then sweeps once more. The calling
+  // thread is `prefix`'s single advancer.
   void PrefixVisibilityLoop(PrefixTracker& prefix,
-                            std::chrono::microseconds interval,
-                            const std::atomic<bool>& stop) {
+                            std::chrono::microseconds interval) {
     Ticker ticker(interval);
     while (true) {
       PublishVisible(prefix.Advance());
-      if (stop.load(std::memory_order_acquire) || CaughtUp()) break;
+      if (stopping() || CaughtUp()) break;
       ticker.Wait();
     }
     PublishVisible(prefix.Advance());
@@ -313,6 +343,9 @@ class ReplicaBase : public Replica {
 
  private:
   LagTracker* const lag_;  // reached only through PublishVisible
+  log::SegmentSource* source_ = nullptr;
+  std::atomic<bool> stopping_{false};
+  std::vector<std::thread> threads_;
   mutable Mutex apply_latency_mu_{LockRank::kStats};
   Histogram apply_latency_ C5_GUARDED_BY(apply_latency_mu_);
   std::string instance_id_;

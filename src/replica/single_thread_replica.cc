@@ -2,13 +2,9 @@
 
 namespace c5::replica {
 
-void SingleThreadReplica::Start(log::SegmentSource* source) {
-  thread_ = std::thread([this, source] { Run(source); });
-}
-
-void SingleThreadReplica::Run(log::SegmentSource* source) {
+void SingleThreadReplica::Run() {
   const auto guard = db_->epochs().Enter();
-  while (log::LogSegment* seg = source->Next()) {
+  while (log::LogSegment* seg = NextSegment()) {
     for (const log::LogRecord& rec : seg->records()) {
       ApplyRecord(rec);
       if (rec.last_in_txn) {
@@ -19,10 +15,6 @@ void SingleThreadReplica::Run(log::SegmentSource* source) {
     }
   }
   done_.store(true, std::memory_order_release);
-}
-
-void SingleThreadReplica::Stop() {
-  if (thread_.joinable()) thread_.join();
 }
 
 }  // namespace c5::replica

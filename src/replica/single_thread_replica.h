@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <string>
-#include <thread>
 
 #include "replica/replica.h"
 
@@ -20,19 +19,17 @@ class SingleThreadReplica : public ReplicaBase {
       : ReplicaBase(db, lag) {}
   ~SingleThreadReplica() override { Stop(); }
 
-  void Start(log::SegmentSource* source) override;
   // Each transaction is published as it is applied, so end of log is
   // caught up.
   bool CaughtUp() const override {
     return done_.load(std::memory_order_acquire);
   }
-  void Stop() override;
   std::string name() const override { return "single-threaded"; }
 
  private:
-  void Run(log::SegmentSource* source);
+  void StartThreads() override { Spawn([this] { Run(); }); }
+  void Run();
 
-  std::thread thread_;
   std::atomic<bool> done_{false};
 };
 

@@ -60,6 +60,9 @@ class Table {
 
   // ---- Row slot management -------------------------------------------------
 
+  // Row ids a table can hold: [0, kMaxRows).
+  static constexpr RowId kMaxRows = RowId{1} << 31;
+
   // Allocates a fresh row slot (primary insert path).
   RowId AllocateRow();
 
@@ -169,7 +172,7 @@ class Table {
   // relocating row slots (readers hold raw pointers into them).
   static constexpr int kChunkBits = 16;
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkBits;
-  static constexpr std::size_t kMaxChunks = std::size_t{1} << 15;
+  static constexpr std::size_t kMaxChunks = kMaxRows >> kChunkBits;
 
   struct RowEntry {
     std::atomic<Version*> head{nullptr};

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <string>
 
+#include "common/crc32c.h"
 #include "core/c5_replica.h"
 #include "core/protocol_factory.h"
 #include "ha/recovery.h"
@@ -133,6 +135,48 @@ TEST(CheckpointTest, CorruptionIsDetected) {
   Timestamp ts = 0;
   EXPECT_EQ(storage::LoadCheckpoint(&restored, path, &ts).code(),
             StatusCode::kInvalidArgument);
+  std::filesystem::remove(path);
+}
+
+// A file whose CRC is valid but whose row id lies past the table's
+// capacity is malformed: the loader must reject it, not index the table's
+// chunk array out of bounds.
+TEST(CheckpointTest, RowBeyondTableCapacityRejected) {
+  std::string body;  // everything after the magic, CRC-covered
+  const auto put = [&body](auto v) {
+    body.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(Timestamp{5});                     // checkpoint timestamp
+  put(std::uint32_t{1});                 // table count
+  put(std::uint32_t{0});                 // table id
+  put(std::uint64_t{1});                 // entry count
+  put(Key{7});                           // key
+  put(RowId{storage::Table::kMaxRows});  // row: one past the capacity
+  put(Timestamp{5});                     // binding timestamp
+  put(Timestamp{5});                     // write timestamp
+  put(std::uint8_t{0});                  // deleted
+  put(std::uint32_t{1});                 // value length
+  body += 'v';
+  const std::uint32_t crc = Crc32c(body.data(), body.size());
+  std::string file;
+  file.append(reinterpret_cast<const char*>(&storage::kCheckpointMagic),
+              sizeof(storage::kCheckpointMagic));
+  file += body;
+  file.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+
+  const std::string path = TempPath("c5_ckpt_row_bound.ckpt");
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(file.data(), 1, file.size(), f), file.size());
+    std::fclose(f);
+  }
+  storage::Database restored;
+  workload::SyntheticWorkload::CreateTable(&restored);
+  Timestamp ts = 0;
+  const Status s = storage::LoadCheckpoint(&restored, path, &ts);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(s.message(), "malformed checkpoint entry");
   std::filesystem::remove(path);
 }
 

@@ -1012,9 +1012,8 @@ TEST(ClusterTest, RecoveryWindowSuppressesInteriorSnapshots) {
   class Probe : public replica::ReplicaBase {
    public:
     explicit Probe(storage::Database* db) : ReplicaBase(db) {}
-    void Start(log::SegmentSource*) override {}
+    void StartThreads() override {}
     bool CaughtUp() const override { return true; }
-    void Stop() override {}
     std::string name() const override { return "probe"; }
     void Publish(Timestamp ts) { PublishVisible(ts); }
   } probe(&db);

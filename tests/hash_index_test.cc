@@ -94,56 +94,6 @@ TEST(HashIndexTest, GrowPreservesBindingTimestamps) {
   }
 }
 
-TEST(HashIndexTest, CollectRangeSortsAndFilters) {
-  HashIndex idx;
-  for (const Key k : {40, 7, 99, 12, 55, 3, 70}) {
-    idx.Upsert(static_cast<Key>(k), static_cast<RowId>(k * 10));
-  }
-  std::vector<std::pair<Key, RowId>> out;
-  idx.CollectRange(7, 70, &out);  // [7, 70): excludes 3, 70, 99
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_EQ(out[0], (std::pair<Key, RowId>{7, 70}));
-  EXPECT_EQ(out[1], (std::pair<Key, RowId>{12, 120}));
-  EXPECT_EQ(out[2], (std::pair<Key, RowId>{40, 400}));
-  EXPECT_EQ(out[3], (std::pair<Key, RowId>{55, 550}));
-}
-
-TEST(HashIndexTest, CollectRangeBoundaries) {
-  HashIndex idx;
-  const Key top = ~Key{0} - 2;  // largest key the +2 encoding can store
-  idx.Upsert(0, 100);
-  idx.Upsert(1, 101);
-  idx.Upsert(50, 150);
-  idx.Upsert(top, 200);
-
-  // Key 0 is a real key, not the empty sentinel: [0, hi) must return it.
-  std::vector<std::pair<Key, RowId>> out;
-  idx.CollectRange(0, 51, &out);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0], (std::pair<Key, RowId>{0, 100}));
-  EXPECT_EQ(out[1], (std::pair<Key, RowId>{1, 101}));
-  EXPECT_EQ(out[2], (std::pair<Key, RowId>{50, 150}));
-
-  // lo == hi is an empty range at every position, including the extremes.
-  for (const Key k : {Key{0}, Key{50}, ~Key{0}}) {
-    out.clear();
-    idx.CollectRange(k, k, &out);
-    EXPECT_TRUE(out.empty()) << "lo == hi == " << k;
-  }
-
-  // hi at the top of the keyspace must not wrap: only the top key appears.
-  out.clear();
-  idx.CollectRange(top, ~Key{0}, &out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], (std::pair<Key, RowId>{top, 200}));
-
-  // [0, 1) returns exactly key 0.
-  out.clear();
-  idx.CollectRange(0, 1, &out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], (std::pair<Key, RowId>{0, 100}));
-}
-
 TEST(HashIndexTest, KeysZeroAndOneAreUsable) {
   // Raw keys 0 and 1 collide with internal sentinel encodings if mishandled.
   HashIndex idx;

@@ -51,9 +51,6 @@ TEST_P(OnlineReplicationTest, LivePrimaryStreamsToReplicaWithReaders) {
                                              std::chrono::microseconds(100)},
                          &lag);
   rep->Start(&source);
-  auto* base = dynamic_cast<replica::ReplicaBase*>(rep.get());
-  ASSERT_NE(base, nullptr);
-
   // Read-only clients hammering the backup during replication.
   std::atomic<bool> stop_readers{false};
   std::atomic<std::uint64_t> reads{0};
@@ -62,7 +59,7 @@ TEST_P(OnlineReplicationTest, LivePrimaryStreamsToReplicaWithReaders) {
     Rng rng(reader_seed);
     while (!stop_readers.load()) {
       Value v;
-      (void)base->OpenSnapshot().Get(
+      (void)rep->OpenSnapshot().Get(
           table, workload::SyntheticWorkload::kHotKey, &v);
       reads.fetch_add(1);
     }

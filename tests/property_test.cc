@@ -240,9 +240,6 @@ TEST_P(FaultInjectionTest, ConvergesAndHoldsMpcUnderJitterAndStall) {
   });
 
   auto replica = MakeReplica(kind, &backup, {.num_workers = 4});
-  auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get());
-  ASSERT_NE(base, nullptr);
-
   std::atomic<bool> stop{false};
   std::atomic<bool> violation{false};
   std::thread reader([&] {
@@ -252,7 +249,7 @@ TEST_P(FaultInjectionTest, ConvergesAndHoldsMpcUnderJitterAndStall) {
       // Snapshot reads work for every protocol, lazy ones included: Get
       // runs Query Fresh's deferred instantiation through the
       // PrepareRowRead hook.
-      const c5::Snapshot snap = base->OpenSnapshot();
+      const c5::Snapshot snap = replica->OpenSnapshot();
       const Timestamp ts = snap.timestamp();
       if (ts < last_ts) violation.store(true);
       last_ts = ts;

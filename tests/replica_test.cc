@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 
 #include "api/snapshot.h"
 #include "core/protocol_factory.h"
+#include "log/log_collector.h"
 #include "log/segment_source.h"
 #include "replica/lag_tracker.h"
 #include "tests/test_util.h"
+#include "txn/mvtso_engine.h"
 #include "workload/synthetic.h"
 
 namespace c5 {
@@ -138,14 +141,12 @@ TEST_P(ReplicaParamTest, SnapshotGetFindsReplicatedRows) {
   replica->Start(&source);
   replica->WaitUntilCaughtUp();
 
-  auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get());
-  ASSERT_NE(base, nullptr);
   // Every key in the log must be readable at the final snapshot.
   std::uint64_t found = 0;
   for (std::size_t s = 0; s < run.log.NumSegments(); ++s) {
     for (const auto& rec : run.log.segment(s)->records()) {
       Value v;
-      if (base->OpenSnapshot().Get(table, rec.key, &v).ok()) ++found;
+      if (replica->OpenSnapshot().Get(table, rec.key, &v).ok()) ++found;
     }
   }
   EXPECT_EQ(found, run.log.NumRecords());
@@ -192,16 +193,13 @@ TEST_P(ReplicaParamTest, MonotonicPrefixConsistencyDuringReplay) {
   workload::SyntheticWorkload::CreateTable(&backup);
   log::OfflineSegmentSource source(&log);
   auto replica = MakeReplica(kind(), &backup, Options());
-  auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get());
-  ASSERT_NE(base, nullptr);
-
   std::atomic<bool> stop{false};
   std::atomic<bool> violation{false};
   std::thread reader([&] {
     std::uint64_t last_seen = 0;
     Timestamp last_ts = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      const c5::Snapshot snap = base->OpenSnapshot();
+      const c5::Snapshot snap = replica->OpenSnapshot();
       const Timestamp ts = snap.timestamp();
       if (ts < last_ts) violation.store(true);  // snapshot went backwards
       last_ts = ts;
@@ -227,7 +225,7 @@ TEST_P(ReplicaParamTest, MonotonicPrefixConsistencyDuringReplay) {
 
   // Final state: both pair rows at 400.
   Value v;
-  ASSERT_TRUE(base->OpenSnapshot().Get(table, kA, &v).ok());
+  ASSERT_TRUE(replica->OpenSnapshot().Get(table, kA, &v).ok());
   EXPECT_EQ(workload::DecodeIntValue(v), 400u);
 }
 
@@ -258,21 +256,17 @@ TEST_P(ReplicaParamTest, RecoveryWindowHoldsLagSamples) {
 
   replica::LagTracker lag;
   auto replica = MakeReplica(kind(), &backup, Options(), &lag);
-  auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get());
-  ASSERT_NE(base, nullptr);
-  base->SetRecoveryWindow(/*resume_ts=*/0, /*inherited_max=*/100);
+  replica->SetRecoveryWindow(/*resume_ts=*/0, /*inherited_max=*/100);
   lag.RecordCommit(1);
   replica->Start(&source);
 
-  // No ASSERT until the gate opens: the scheduler blocks in the gated
-  // source, so returning early would hang the replica's join.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (replica->stats().applied_txns.load() < 1 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
-  EXPECT_EQ(replica->stats().applied_txns.load(), 1u);
+  ASSERT_EQ(replica->stats().applied_txns.load(), 1u);
   // Many visibility periods: every protocol has had its chance to publish.
   const auto hold_until =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
@@ -284,18 +278,107 @@ TEST_P(ReplicaParamTest, RecoveryWindowHoldsLagSamples) {
     visible = replica->VisibleTimestamp();
     pending = lag.PendingCount();
   }
-  EXPECT_EQ(visible, 0u);
-  EXPECT_EQ(pending, 1u) << "a suppressed snapshot drained a lag sample";
-  EXPECT_EQ(replica->stats().snapshots_taken.load(), 0u);
+  ASSERT_EQ(visible, 0u);
+  ASSERT_EQ(pending, 1u) << "a suppressed snapshot drained a lag sample";
+  ASSERT_EQ(replica->stats().snapshots_taken.load(), 0u);
 
   source.Open();
   replica->WaitUntilCaughtUp();
   replica->Stop();
   EXPECT_EQ(replica->VisibleTimestamp(), 100u);
-  EXPECT_TRUE(base->RecoveryWindowClosed());
+  EXPECT_TRUE(replica->RecoveryWindowClosed());
   EXPECT_EQ(lag.PendingCount(), 0u);
   EXPECT_EQ(lag.TakeHistogram().count(), 1u);
   EXPECT_GT(replica->stats().snapshots_taken.load(), 0u);
+}
+
+// Once `replica` has applied `txns` transactions (its scheduler then blocks
+// in Next()), Stop() on a helper thread must return within 5 s; on a timeout
+// `unblock` releases the source so the join completes and the test fails
+// instead of hanging. The snapshot left must be a prefix of the primary's.
+void StopMidLogAtPrefix(replica::ReplicaBase& replica, ProtocolKind kind,
+                        std::uint64_t txns, storage::Database& backup,
+                        storage::Database& primary,
+                        const std::function<void()>& unblock) {
+  using Clock = std::chrono::steady_clock;
+  auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (replica.stats().applied_txns.load() < txns &&
+         Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  EXPECT_EQ(replica.stats().applied_txns.load(), txns);
+
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    replica.Stop();
+    stopped.store(true, std::memory_order_release);
+  });
+  deadline = Clock::now() + std::chrono::seconds(5);
+  while (!stopped.load(std::memory_order_acquire) && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool prompt = stopped.load(std::memory_order_acquire);
+  if (!prompt) unblock();
+  stopper.join();
+  ASSERT_TRUE(prompt) << "Stop() hung on a blocked source";
+
+  // Query Fresh keeps applied writes as redo lists until a read touches the
+  // row; its WaitUntilCaughtUp instantiates them (ingest ended at the stop).
+  if (kind == ProtocolKind::kQueryFresh) replica.WaitUntilCaughtUp();
+  const Timestamp v = replica.VisibleTimestamp();
+  EXPECT_GT(v, 0u);
+  EXPECT_EQ(test::StateDigest(backup, v), test::StateDigest(primary, v));
+}
+
+// Stop() must end a backup wherever its log is, even when the scheduler is
+// blocked in SegmentSource::Next() — behind a closed gate, or on a live
+// channel whose primary never finishes.
+TEST_P(ReplicaParamTest, StopCancelsABlockedSource) {
+  {
+    SCOPED_TRACE("gated source closed at half the log");
+    auto run = test::RunSyntheticPrimary(/*adversarial=*/true, /*clients=*/2,
+                                         /*txns_per_client=*/200);
+    run.log.ResetReplayState();
+    const std::size_t gate_at = run.log.NumSegments() / 2;
+    ASSERT_GT(gate_at, 0u);
+    std::uint64_t txns_before_gate = 0;
+    for (std::size_t s = 0; s < gate_at; ++s) {
+      for (const auto& rec : run.log.segment(s)->records()) {
+        txns_before_gate += rec.last_in_txn ? 1 : 0;
+      }
+    }
+    storage::Database backup;
+    workload::SyntheticWorkload::CreateTable(&backup);
+    log::GatedSegmentSource source(&run.log, gate_at);
+    auto replica = MakeReplica(kind(), &backup, Options());
+    replica->Start(&source);
+    StopMidLogAtPrefix(*replica, kind(), txns_before_gate, backup,
+                       run.primary->db, [&] { source.Open(); });
+  }
+  {
+    SCOPED_TRACE("live channel, primary never finished");
+    storage::Database primary_db, backup;
+    const TableId table = workload::SyntheticWorkload::CreateTable(&primary_db);
+    workload::SyntheticWorkload::CreateTable(&backup);
+    TxnClock clock;
+    log::OnlineLogCollector collector(/*segment_records=*/16);
+    txn::MvtsoEngine engine(&primary_db, &collector, &clock);
+    collector.SetReleaseHorizon([&engine] { return engine.LogHorizon(); });
+    log::ChannelSegmentSource source(&collector.channel());
+    auto replica = MakeReplica(kind(), &backup, Options());
+    replica->Start(&source);
+    constexpr std::uint64_t kTxns = 300;
+    for (std::uint64_t n = 1; n <= kTxns; ++n) {
+      const Status s = engine.ExecuteWithRetry([&](txn::Txn& txn) {
+        const Status st = txn.Put(table, n, workload::EncodeIntValue(n));
+        return st.ok() ? txn.Put(table, 0, workload::EncodeIntValue(n)) : st;
+      });
+      ASSERT_TRUE(s.ok());
+    }
+    collector.Flush();
+    StopMidLogAtPrefix(*replica, kind(), kTxns, backup, primary_db,
+                       [&] { collector.Finish(); });
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
