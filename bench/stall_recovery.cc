@@ -43,6 +43,9 @@ class PausableSource : public log::SegmentSource {
     }
     return inner_->Next();
   }
+  void Release(Timestamp applied_through) override {
+    inner_->Release(applied_through);
+  }
   void Cancel() override {
     cancelled_.store(true, std::memory_order_release);
     inner_->Cancel();

@@ -88,14 +88,15 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 # written beside worker-published visibility, the wire codec and its
 # hardware/portable CRC32C, the online pipelines over every protocol and
 # Query Fresh's lazy reads, all publishing through ReplicaBase, and the
-# session and failover suites, which stop and restart backups mid-log) run 20
+# session and failover suites, which stop and restart backups mid-log, and
+# the soak suite, whose segment and frame releases race the replay) run 20
 # times each, stopping at the first failure. A race that fires one
 # run in five does not survive this lane. The core count comes first: a
 # pass on one core is no evidence about a race.
 echo "check.sh: repeat lane, nproc=$(nproc 2>/dev/null || echo unknown)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
   --repeat until-fail:20 \
-  -R 'dst|property|replica|c5_core|cluster|ordered_index|htap|net|queue|event_count|checkpoint|wire|integration|query_fresh|session|failover'
+  -R 'dst|property|replica|c5_core|cluster|ordered_index|htap|net|queue|event_count|checkpoint|wire|integration|query_fresh|session|failover|soak'
 
 "$repo_root/scripts/bench.sh" --quick "$build_dir"
 
@@ -135,12 +136,18 @@ run_static_lane
 # snapshot advance and lag report go through. session_test and failover_test
 # stop backups behind blocked sources and restart them: ReplicaBase::Stop
 # cancels the source from another thread while the scheduler is inside it.
+# soak_test ships a million records to a channel-fed and a socket-fed
+# backup: segments are freed on the scheduler thread while workers apply,
+# and acks trim the server's archive while its sender threads stream it.
+# ASan also runs replica_test, whose poisoning source frees every released
+# segment at once (its planted early release must die with a
+# use-after-free report), and soak_test.
 tsan_dir="${build_dir}-tsan"
 cmake -B "$tsan_dir" -S "$repo_root" -DC5_SANITIZE=thread >/dev/null
 cmake --build "$tsan_dir" -j "$jobs" --target dst_test cluster_test net_test \
   ordered_index_test htap_scan_test queue_test event_count_test \
   c5_core_test replica_test property_test checkpoint_test integration_test \
-  query_fresh_test session_test failover_test
+  query_fresh_test session_test failover_test soak_test
 C5_DST_SEED_COUNT=16 "$tsan_dir/dst_test"
 "$tsan_dir/cluster_test"
 "$tsan_dir/net_test"
@@ -156,11 +163,13 @@ C5_DST_SEED_COUNT=16 "$tsan_dir/dst_test"
 "$tsan_dir/query_fresh_test"
 "$tsan_dir/session_test"
 "$tsan_dir/failover_test"
+"$tsan_dir/soak_test"
 
 asan_dir="${build_dir}-asan"
 cmake -B "$asan_dir" -S "$repo_root" -DC5_SANITIZE=address >/dev/null
 cmake --build "$asan_dir" -j "$jobs" --target dst_test wire_test cluster_test \
-  net_test ordered_index_test htap_scan_test checkpoint_test
+  net_test ordered_index_test htap_scan_test checkpoint_test replica_test \
+  soak_test
 C5_DST_SEED_COUNT=16 "$asan_dir/dst_test"
 "$asan_dir/wire_test"
 "$asan_dir/checkpoint_test"
@@ -168,6 +177,8 @@ C5_DST_SEED_COUNT=16 "$asan_dir/dst_test"
 "$asan_dir/net_test"
 "$asan_dir/ordered_index_test"
 "$asan_dir/htap_scan_test"
+"$asan_dir/replica_test"
+"$asan_dir/soak_test"
 
 ubsan_dir="${build_dir}-ubsan"
 cmake -B "$ubsan_dir" -S "$repo_root" -DC5_SANITIZE=undefined >/dev/null

@@ -461,6 +461,13 @@ std::uint16_t Cluster::server_port() const {
              : 0;
 }
 
+std::size_t Cluster::HeldSegments(std::size_t i) const {
+  if (shipping_ == nullptr || i >= shipping_->lanes.size()) return 0;
+  const Shipping::Lane& lane = shipping_->lanes[i];
+  if (lane.socket_source != nullptr) return lane.socket_source->held();
+  return lane.channel_source != nullptr ? lane.channel_source->held() : 0;
+}
+
 txn::Engine& Cluster::engine() {
   return promoted_ != nullptr ? *promoted_->engine : *engine_;
 }

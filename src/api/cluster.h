@@ -440,6 +440,9 @@ class Cluster {
   // The server's bound port (the ephemeral answer when listen_port was 0);
   // 0 when no server runs.
   std::uint16_t server_port() const;
+  // Segments backup `i`'s shipping lane delivered and has not released
+  // yet (its replica has not applied them). Any thread.
+  std::size_t HeldSegments(std::size_t i) const;
 
   txn::Engine& engine();
   TxnClock& clock();

@@ -30,6 +30,10 @@ using RowId = std::uint64_t;
 
 inline constexpr RowId kInvalidRowId = std::numeric_limits<RowId>::max();
 
+// Row ids a table can hold: [0, kMaxRows). Every decoder of untrusted input
+// (wire segments, checkpoints) rejects a row id at or past it.
+inline constexpr RowId kMaxRows = RowId{1} << 31;
+
 // A row's name across tables: the key of every per-row map that spans tables
 // (the C5 schedulers' last-write maps, KuaFu's last-writer map, the
 // granularity replica's key queues, the 2PL lock table). Unique for row ids

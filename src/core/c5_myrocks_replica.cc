@@ -355,9 +355,15 @@ void C5MyRocksReplica::SnapshotterLoop() {
   while (true) {
     // Choose n: everything strictly below MinUnapplied is applied. Blocking
     // writers above n during the (simulated) snapshot keeps the boundary
-    // stable while RocksDB captures current state.
-    const Timestamp min_unapplied = dispatch_.MinUnapplied();
+    // stable while RocksDB captures current state. The watermark is read
+    // FIRST: the scheduler pushes a segment's transactions before it
+    // publishes the segment's watermark, so every transaction at or below
+    // `wm` is already queued, in flight, or applied when MinUnapplied
+    // looks. Read the other way round, a segment pushed between the two
+    // reads would be published as applied while its transactions still sit
+    // in the queue (and its segment could be released under them).
     const Timestamp wm = watermark_.load(std::memory_order_acquire);
+    const Timestamp min_unapplied = dispatch_.MinUnapplied();
     const Timestamp n =
         min_unapplied == kMaxTimestamp ? wm : min_unapplied - 1;
 

@@ -64,6 +64,10 @@ class ChainedSegmentSource : public log::SegmentSource {
     }
     return nullptr;
   }
+  // The chain is one log in timestamp order, so one mark covers every link.
+  void Release(Timestamp applied_through) override {
+    for (log::SegmentSource* s : sources_) s->Release(applied_through);
+  }
   void Cancel() override {
     for (log::SegmentSource* s : sources_) s->Cancel();
   }

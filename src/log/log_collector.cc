@@ -132,15 +132,24 @@ OnlineLogCollector::OnlineLogCollector(std::size_t segment_records,
                                        std::size_t channel_capacity)
     : segment_records_(segment_records),
       channel_capacity_(channel_capacity) {
-  subscribers_.push_back(std::make_unique<Subscriber>(channel_capacity_));
+  subscribers_.push_back(
+      std::make_unique<SpscQueue<LogSegment*>>(channel_capacity_));
 }
 
-OnlineLogCollector::~OnlineLogCollector() = default;
+OnlineLogCollector::~OnlineLogCollector() {
+  // Segments no consumer popped (a lane that was never consumed, or one
+  // whose consumer went away while the primary still shipped).
+  MutexLock lock(mu_);
+  for (auto& channel : subscribers_) {
+    while (auto seg = channel->TryPop()) delete *seg;
+  }
+}
 
 SpscQueue<LogSegment*>* OnlineLogCollector::AddSubscriber() {
   MutexLock lock(mu_);
-  subscribers_.push_back(std::make_unique<Subscriber>(channel_capacity_));
-  return subscribers_.back()->channel.get();
+  subscribers_.push_back(
+      std::make_unique<SpscQueue<LogSegment*>>(channel_capacity_));
+  return subscribers_.back().get();
 }
 
 OnlineLogCollector::PendingTxn* OnlineLogCollector::AcquirePending() {
@@ -159,15 +168,16 @@ void OnlineLogCollector::ShipLocked() {
   shipped_.fetch_add(1, std::memory_order_relaxed);
   // Subscriber 0 receives the sealed segment itself; the rest get
   // shared-payload views (private record array, refcounted value bytes).
+  // A push fails only on a closed (cancelled) lane: nobody will pop it.
+  const auto ship = [](SpscQueue<LogSegment*>& channel,
+                       std::unique_ptr<LogSegment> seg) {
+    if (channel.Push(seg.get())) (void)seg.release();
+  };
   for (std::size_t i = 1; i < subscribers_.size(); ++i) {
-    auto view = std::make_unique<LogSegment>(*open_, kShareValues);
-    LogSegment* raw = view.get();
-    subscribers_[i]->store.push_back(std::move(view));
-    subscribers_[i]->channel->Push(raw);
+    ship(*subscribers_[i],
+         std::make_unique<LogSegment>(*open_, kShareValues));
   }
-  LogSegment* raw = open_.get();
-  subscribers_[0]->store.push_back(std::move(open_));
-  subscribers_[0]->channel->Push(raw);
+  ship(*subscribers_[0], std::move(open_));
 }
 
 void OnlineLogCollector::DrainLocked(Timestamp horizon) {
@@ -233,14 +243,14 @@ void OnlineLogCollector::Finish() {
     DrainLocked(kMaxTimestamp);
     ShipLocked();
     channels.reserve(subscribers_.size());
-    for (auto& sub : subscribers_) channels.push_back(sub->channel.get());
+    for (auto& channel : subscribers_) channels.push_back(channel.get());
   }
   for (SpscQueue<LogSegment*>* ch : channels) ch->Close();
 }
 
 SpscQueue<LogSegment*>& OnlineLogCollector::channel() {
   MutexLock lock(mu_);
-  return *subscribers_[0]->channel;
+  return *subscribers_[0];
 }
 
 }  // namespace c5::log

@@ -171,6 +171,8 @@ class PerThreadLogCollector : public LogCollector {
 // (backup) has its own channel; subscriber 0 receives the sealed segment
 // itself and later subscribers receive shared-payload views (private record
 // array + prev_ts, refcounted value bytes) — no per-backup payload copies.
+// A channel hands ownership of each segment to its consumer; the value
+// bytes go back to the arena when the last view of them is freed.
 //
 // Allocation discipline: pending transactions are staged in pooled buffers
 // (record vector + value-byte buffer, both capacity-recycling), and value
@@ -198,8 +200,9 @@ class OnlineLogCollector : public LogCollector {
   // terminate.
   void Finish();
 
-  // The backup side: pops segments in order; nullopt after Finish() + drain.
-  // This is subscriber 0's channel (always present).
+  // The backup side: pops segments in order (each popped segment is the
+  // popper's to free); nullopt after Finish() + drain. This is subscriber
+  // 0's channel (always present).
   SpscQueue<LogSegment*>& channel();
 
   // Adds a shipping lane. Call before the first LogCommit (fan-out topology
@@ -223,15 +226,6 @@ class OnlineLogCollector : public LogCollector {
       return a->ts > b->ts;
     }
   };
-  struct Subscriber {
-    explicit Subscriber(std::size_t capacity)
-        : channel(std::make_unique<SpscQueue<LogSegment*>>(capacity)) {}
-    std::unique_ptr<SpscQueue<LogSegment*>> channel;
-    // Keeps every shipped segment alive: replicas hold raw pointers into
-    // delivered segments for their lifetime.
-    std::vector<std::unique_ptr<LogSegment>> store;
-  };
-
   void ShipLocked() C5_REQUIRES(mu_);
   void DrainLocked(Timestamp horizon) C5_REQUIRES(mu_);
   PendingTxn* AcquirePending() C5_REQUIRES(mu_);
@@ -248,7 +242,12 @@ class OnlineLogCollector : public LogCollector {
   std::vector<PendingTxn*> pending_free_ C5_GUARDED_BY(mu_);  // available
   std::uint64_t next_seq_ C5_GUARDED_BY(mu_) = 0;
   std::unique_ptr<LogSegment> open_ C5_GUARDED_BY(mu_);
-  std::vector<std::unique_ptr<Subscriber>> subscribers_ C5_GUARDED_BY(mu_);
+  // One channel per subscriber. Each pushed segment belongs to the lane's
+  // consumer (a ChannelSegmentSource, or a ShipServer drainer), which frees
+  // it once it is done with it; the collector frees only what no consumer
+  // popped.
+  std::vector<std::unique_ptr<SpscQueue<LogSegment*>>> subscribers_
+      C5_GUARDED_BY(mu_);
   std::atomic<std::uint64_t> shipped_{0};
 };
 

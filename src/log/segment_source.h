@@ -5,7 +5,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <deque>
 #include <functional>
+#include <memory>
 #include <thread>
 
 #include "common/spsc_queue.h"
@@ -15,16 +17,27 @@ namespace c5::log {
 
 // Uniform input for replica protocols: a stream of log segments in log order.
 // Next() blocks until a segment is available and returns nullptr at
-// end-of-log. Only the backup's scheduler thread calls Next().
+// end-of-log. Only the backup's scheduler thread calls Next() and Release().
 //
 // Cancel() (any thread; idempotent) ends the log early: Next() stops
 // blocking and soon returns nullptr (a channel first hands over what it
 // already holds). ReplicaBase::Stop() calls it; sources that never block
 // need not override it.
+//
+// Segment lifetime: a delivered segment stays valid until the consumer
+// releases it. Release(applied_through) says that every record with
+// commit_ts <= applied_through is applied and that no replica thread will
+// read it again; ReplicaBase calls it before every Next(). A source that
+// owns what it delivers (a channel lane, a socket) frees the delivered
+// prefix whose records all lie at or below the mark, and frees instead of
+// delivering a later segment that lies wholly at or below it (a
+// redelivery: already applied). Sources over a Log keep the no-op: the Log
+// owns the segments, and benches replay it again after ResetReplayState.
 class SegmentSource {
  public:
   virtual ~SegmentSource() = default;
   virtual LogSegment* Next() = 0;
+  virtual void Release(Timestamp applied_through) { (void)applied_through; }
   virtual void Cancel() {}
 };
 
@@ -82,6 +95,9 @@ class DelayedSegmentSource : public SegmentSource {
     }
     return seg;
   }
+  void Release(Timestamp applied_through) override {
+    inner_->Release(applied_through);
+  }
   void Cancel() override { inner_->Cancel(); }
 
  private:
@@ -121,22 +137,50 @@ class GatedSegmentSource : public SegmentSource {
   std::size_t pos_ = 0;
 };
 
-// Streams segments from an online primary through an SPSC channel.
+// Streams segments from an online primary through an SPSC channel. The
+// channel hands ownership of each segment to this source: it holds what it
+// delivered until Release covers it, and its destructor frees the rest,
+// including whatever is still queued in the channel.
 // Cancel() closes the channel: the consumer stops, and the producer's Push
 // fails instead of blocking the primary's sequencer on a full channel.
 class ChannelSegmentSource : public SegmentSource {
  public:
   explicit ChannelSegmentSource(SpscQueue<LogSegment*>* channel)
       : channel_(channel) {}
+  ~ChannelSegmentSource() override {
+    while (auto seg = channel_->TryPop()) delete *seg;
+  }
 
   LogSegment* Next() override {
-    auto seg = channel_->Pop();
-    return seg.has_value() ? *seg : nullptr;
+    while (auto seg = channel_->Pop()) {
+      std::unique_ptr<LogSegment> owned(*seg);
+      if (owned->MaxTimestamp() <= released_through_) continue;  // applied
+      held_.push_back(std::move(owned));
+      held_count_.store(held_.size(), std::memory_order_relaxed);
+      return held_.back().get();
+    }
+    return nullptr;
+  }
+  void Release(Timestamp applied_through) override {
+    released_through_ = std::max(released_through_, applied_through);
+    while (!held_.empty() &&
+           held_.front()->MaxTimestamp() <= released_through_) {
+      held_.pop_front();
+    }
+    held_count_.store(held_.size(), std::memory_order_relaxed);
   }
   void Cancel() override { channel_->Close(); }
 
+  // Delivered segments not yet released (any thread; for the soak gate).
+  std::size_t held() const {
+    return held_count_.load(std::memory_order_relaxed);
+  }
+
  private:
   SpscQueue<LogSegment*>* channel_;
+  std::deque<std::unique_ptr<LogSegment>> held_;
+  Timestamp released_through_ = kInvalidTimestamp;
+  std::atomic<std::size_t> held_count_{0};
 };
 
 }  // namespace c5::log

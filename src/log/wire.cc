@@ -95,6 +95,9 @@ Status DecodeSegment(std::string_view bytes, std::size_t* consumed,
     if (op > static_cast<std::uint8_t>(OpType::kDelete)) {
       return Status::InvalidArgument("unknown op code");
     }
+    if (rec.row >= kMaxRows) {
+      return Status::InvalidArgument("row id past the table capacity");
+    }
     rec.op = static_cast<OpType>(op);
     rec.last_in_txn = last != 0;
     rec.prev_ts = kInvalidTimestamp;  // recomputed by the backup (§7.1)

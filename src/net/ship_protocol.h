@@ -8,14 +8,17 @@
 //   client -> server (requests; fixed 13 bytes, pipelined — the client
 //   never waits for a response before sending the next):
 //     u32 magic  'C5RQ'
-//     u8  type   kSubscribe | kNak
+//     u8  type   kSubscribe | kNak | kAck
 //     u64 arg    kSubscribe: first record seq wanted (resume point)
 //                kNak:       receiver's expected seq; retransmit from there
+//                kAck:       every record below this seq is applied and
+//                            released; the client never asks for it again
 //
 //   server -> client (interleaved with segment frames; 16 bytes):
-//     u32 magic  'C5RM' (resync) | 'C5EN' (end-of-log)
-//     u64 seq    resync: the seq retransmission restarts at
-//                end:    the final seq (total records shipped)
+//     u32 magic  'C5RM' (resync) | 'C5EN' (end-of-log) | 'C5TR' (truncated)
+//     u64 seq    resync:    the seq retransmission restarts at
+//                end:       the final seq (total records shipped)
+//                truncated: the first seq the server still retains
 //     u32 crc    CRC32C over the 8 seq bytes — a receiver scanning a
 //                corrupted stream byte-by-byte for the resync marker must
 //                not sync on payload bytes that merely look like a magic
@@ -33,6 +36,13 @@
 // treats every subscription as a fresh cursor into its retained archive.
 // Subscribing past the retained tail is answered from the closest retained
 // frame at or below the requested seq (idempotent apply absorbs overlap).
+//
+// Truncation protocol: the server drops archived frames below the lowest
+// kAck of its subscribers (a dropped client's ack keeps counting until a
+// subscription at or above it arrives, so a reconnect can always resume).
+// A subscribe or NAK below the retained archive is never answered from a
+// hole: the server sends truncated(floor) and streams nothing more, and the
+// receiver ends its log with an error — it must resync from a checkpoint.
 
 #ifndef C5_NET_SHIP_PROTOCOL_H_
 #define C5_NET_SHIP_PROTOCOL_H_
@@ -48,10 +58,12 @@ namespace c5::net {
 inline constexpr std::uint32_t kRequestMagic = 0x51523543u;  // "C5RQ"
 inline constexpr std::uint32_t kResyncMagic = 0x4D523543u;   // "C5RM"
 inline constexpr std::uint32_t kEndMagic = 0x4E453543u;      // "C5EN"
+inline constexpr std::uint32_t kTruncatedMagic = 0x52543543u;  // "C5TR"
 
 enum class RequestType : std::uint8_t {
   kSubscribe = 1,
   kNak = 2,
+  kAck = 3,
 };
 
 inline constexpr std::size_t kRequestBytes =

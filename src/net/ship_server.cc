@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "log/wire.h"
-#include "net/ship_protocol.h"
 
 namespace c5::net {
 
@@ -58,7 +57,10 @@ void ShipServer::ServeChannel(SpscQueue<log::LogSegment*>* chan) {
     for (;;) {
       auto seg = chan->Pop();
       if (!seg.has_value() || *seg == nullptr) break;
-      PublishSegment(**seg);
+      // The archived frame is all a subscriber ever reads: free the
+      // segment once it is encoded.
+      const std::unique_ptr<log::LogSegment> owned(*seg);
+      PublishSegment(*owned);
     }
     FinishLog();
   });
@@ -73,6 +75,11 @@ std::vector<ClientShipStats> ShipServer::ClientStatsSnapshot() const {
 }
 
 std::uint64_t ShipServer::frames_published() const {
+  MutexLock lock(mu_);
+  return EndIndex();
+}
+
+std::size_t ShipServer::retained_frames() const {
   MutexLock lock(mu_);
   return archive_.size();
 }
@@ -138,10 +145,94 @@ std::size_t ShipServer::FrameIndexFor(std::uint64_t seq) const {
       hi = mid;
     }
   }
-  // lo = first frame with base > seq.
-  if (lo == 0) return 0;
+  // lo = first retained frame with base > seq.
+  if (lo == 0) return dropped_frames_;
   const Frame& f = archive_[lo - 1];
-  return (seq >= f.base + f.count) ? lo : lo - 1;
+  return dropped_frames_ + ((seq >= f.base + f.count) ? lo : lo - 1);
+}
+
+void ShipServer::TrimLocked() {
+  std::uint64_t floor = ~std::uint64_t{0};
+  bool held = false;
+  for (const auto& c : clients_) {
+    if (!c->holds_floor) continue;
+    held = true;
+    floor = std::min(floor, c->ack);
+  }
+  if (!held) return;  // nobody subscribed yet: keep everything
+  while (!archive_.empty() &&
+         archive_.front().base + archive_.front().count <= floor) {
+    retained_seq_ = archive_.front().base + archive_.front().count;
+    archive_.pop_front();
+    ++dropped_frames_;
+  }
+}
+
+void ShipServer::HandleRequest(Client* c, const Request& req) {
+  if (req.type == RequestType::kAck) {
+    if (req.arg > c->ack) {
+      c->ack = req.arg;
+      TrimLocked();
+    }
+    return;
+  }
+  c->stats.subscribed_from = req.arg;
+  c->end_sent = false;
+  if (req.arg < retained_seq_) {
+    // The records are gone: never rewind into the hole. The client ends
+    // its log with an error and must resync from a checkpoint.
+    c->subscribed = false;
+    c->truncate_pending = true;
+    return;
+  }
+  c->cursor = FrameIndexFor(req.arg);
+  if (req.type == RequestType::kSubscribe) {
+    c->subscribed = true;
+    c->holds_floor = true;
+    c->ack = req.arg;
+    c->subscribed_at = req.arg;
+    c->may_adopt = true;
+    // Take over the largest dropped hold at or below this subscription.
+    Client* dropped = nullptr;
+    for (const auto& other : clients_) {
+      if (other->closing && other->holds_floor && other->ack <= req.arg &&
+          (dropped == nullptr || other->ack > dropped->ack)) {
+        dropped = other.get();
+      }
+    }
+    if (dropped != nullptr) MoveHold(dropped, c);
+    TrimLocked();
+  } else {
+    ++c->stats.naks_received;
+    c->rewound = true;  // emit a resync marker before retransmitting
+  }
+}
+
+void ShipServer::MoveHold(Client* from, Client* to) {
+  // `to` needs nothing below its subscription, which is at or above
+  // `from`'s ack: the hold keeps the lower ack.
+  to->ack = std::min(to->ack, from->ack);
+  to->may_adopt = false;
+  from->holds_floor = false;
+}
+
+void ShipServer::DisconnectLocked(Client* c) {
+  c->stats.connected = false;
+  // Unblock the peer thread (rx in ReadSome, tx mid-send) promptly.
+  c->conn.ShutdownBoth();
+  if (c->closing) return;
+  c->closing = true;
+  if (!c->holds_floor) return;
+  // The reconnect may have subscribed before this drop was seen: hand the
+  // hold to a live subscription at or above the ack that took none yet.
+  // Otherwise the ack keeps holding the floor (see Retention).
+  for (const auto& other : clients_) {
+    if (!other->closing && other->subscribed && other->may_adopt &&
+        other->subscribed_at >= c->ack) {
+      MoveHold(c, other.get());
+      break;
+    }
+  }
 }
 
 void ShipServer::ClientRxLoop(Client* c) {
@@ -164,25 +255,15 @@ void ShipServer::ClientRxLoop(Client* c) {
       }
       off += kRequestBytes;
       MutexLock lock(mu_);
-      c->stats.subscribed_from = req.arg;
-      c->cursor = FrameIndexFor(req.arg);
-      if (req.type == RequestType::kSubscribe) {
-        c->subscribed = true;
-      } else {
-        ++c->stats.naks_received;
-        c->rewound = true;  // emit a resync marker before retransmitting
-      }
-      c->end_sent = false;
-      cv_.NotifyAll();
+      HandleRequest(c, req);
+      if (req.type != RequestType::kAck) cv_.NotifyAll();
     }
     buf.erase(0, off);
     if (broken) break;  // a malformed request means a broken peer: drop it
   }
   {
     MutexLock lock(mu_);
-    c->closing = true;
-    c->stats.connected = false;
-    c->conn.ShutdownBoth();  // unblock the tx thread mid-send
+    DisconnectLocked(c);
   }
   cv_.NotifyAll();
 }
@@ -200,23 +281,33 @@ void ShipServer::ClientTxLoop(Client* c) {
       MutexLock lock(mu_);
       // Explicit loop (not a predicate lambda): the thread-safety analysis
       // must see the guarded reads performed while mu_ is held.
-      while (!(c->closing || stopping_ ||
+      while (!(c->closing || stopping_ || c->truncate_pending ||
                (c->subscribed &&
-                (c->rewound || c->cursor < archive_.size() ||
+                (c->rewound || c->cursor < EndIndex() ||
                  (finished_ && !c->end_sent))))) {
         cv_.Wait(lock);
       }
       if (c->closing || stopping_) break;
-      if (c->rewound) {
+      if (c->subscribed && c->cursor < dropped_frames_) {
+        // Only a peer that acked past what it then asked for gets here;
+        // its cursor must not index the dropped prefix.
+        c->subscribed = false;
+        c->truncate_pending = true;
+      }
+      if (c->truncate_pending) {
+        // Tell the client where the retained archive starts; stream
+        // nothing more until it subscribes again at or above it.
+        EncodeControl(kTruncatedMagic, retained_seq_, &owned);
+        c->truncate_pending = false;
+      } else if (c->rewound) {
         // NAK recovery: mark the stream position, then retransmit.
-        const std::uint64_t seq = c->cursor < archive_.size()
-                                      ? archive_[c->cursor].base
-                                      : end_seq_;
+        const std::uint64_t seq =
+            c->cursor < EndIndex() ? FrameAt(c->cursor).base : end_seq_;
         EncodeControl(kResyncMagic, seq, &owned);
         c->rewound = false;
         ++c->stats.resyncs_sent;
-      } else if (c->cursor < archive_.size()) {
-        frame = archive_[c->cursor].bytes;
+      } else if (c->cursor < EndIndex()) {
+        frame = FrameAt(c->cursor).bytes;
         segment_count = 1;
         // A frame below this stream's high-water mark is a retransmission
         // (a NAK — or a re-subscribe after reconnect — rewound the cursor).
@@ -255,13 +346,11 @@ void ShipServer::ClientTxLoop(Client* c) {
     }
 
     if (!c->conn.WriteAll(to_send->data(), to_send->size()).ok()) {
+      // A failed send usually means the peer is gone, but its FIN can be
+      // arbitrarily delayed and the rx thread would otherwise sit in
+      // ReadSome until Stop().
       MutexLock lock(mu_);
-      c->closing = true;
-      c->stats.connected = false;
-      // Unblock our rx thread promptly: a failed send usually means the
-      // peer is gone, but its FIN can be arbitrarily delayed and the rx
-      // thread would otherwise sit in ReadSome until Stop().
-      c->conn.ShutdownBoth();
+      DisconnectLocked(c);
       cv_.NotifyAll();
       continue;  // loop re-checks closing and exits
     }

@@ -1,8 +1,8 @@
 // ShipServer — the sending half of the socket transport: retains the
-// shard group's shipped log as encoded wire frames and streams it to any
-// number of remote subscribers, honoring the ship_protocol.h vocabulary
-// (subscribe-from-seq, NAK-driven retransmit with resync markers,
-// end-of-log).
+// unacknowledged tail of the shard group's shipped log as encoded wire
+// frames and streams it to any number of remote subscribers, honoring the
+// ship_protocol.h vocabulary (subscribe-from-seq, NAK-driven retransmit
+// with resync markers, acks, truncation, end-of-log).
 //
 // Feed modes:
 //  * ServeChannel(chan): a drainer thread consumes one subscriber lane of
@@ -12,10 +12,15 @@
 //  * PublishLog(log) + FinishLog(): serve a prebuilt log — the c5-server
 //    seeded mode and the offline-replay benches.
 //
-// Retention: every published frame is retained for the server's lifetime,
-// so a subscriber may attach (or NAK back) to any point of the history —
-// the same policy the in-process fan-out already has (a collector's
-// subscriber store keeps every shipped segment alive for its replicas).
+// Retention: a frame is kept until every subscriber has acknowledged it.
+// The floor is the lowest kAck over the subscribers (a subscription counts
+// as an ack of its start seq); frames wholly below it are dropped. A client
+// that disconnects keeps its ack in the floor until a subscription at or
+// above that ack arrives, so a reconnecting backup can always resume. With
+// no subscriber yet nothing is dropped, so a seeded server (PublishLog)
+// keeps its whole log for whoever attaches first. A subscribe or NAK below
+// the retained archive gets the truncated control frame (ship_protocol.h),
+// never a silent rewind into the hole.
 //
 // Threading: one accept thread; per client one receiver thread (requests
 // are pipelined — a NAK is acted on while segments are in flight) and one
@@ -29,6 +34,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -39,6 +45,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "log/log_segment.h"
+#include "net/ship_protocol.h"
 #include "net/socket.h"
 
 namespace c5::net {
@@ -95,13 +102,15 @@ class ShipServer {
   // archive receive the end-of-log frame and terminate their replay.
   void FinishLog();
   // Spawns a drainer over `chan` (a collector subscriber lane): each popped
-  // segment is published; a closed channel finishes the log. `chan` must
-  // outlive Stop().
+  // segment is published and then freed (the lane hands the drainer
+  // ownership); a closed channel finishes the log. `chan` must outlive
+  // Stop().
   void ServeChannel(SpscQueue<log::LogSegment*>* chan);
 
   // ---- Stats ----
   std::vector<ClientShipStats> ClientStatsSnapshot() const;
-  std::uint64_t frames_published() const;
+  std::uint64_t frames_published() const;  // ever, dropped ones included
+  std::size_t retained_frames() const;     // still archived
   // End-of-archive record seq (base + size of the last published frame).
   std::uint64_t end_seq() const;
 
@@ -118,7 +127,8 @@ class ShipServer {
   };
 
   // All mutable Client fields (stats, subscribed, closing, cursor,
-  // high_cursor, rewound, end_sent) are guarded by the server's mu_; the
+  // high_cursor, rewound, end_sent, truncate_pending, ack, holds_floor,
+  // subscribed_at, may_adopt) are guarded by the server's mu_; the
   // analysis cannot express a nested struct guarded by an outer instance's
   // capability, so the discipline is enforced by the lock-rank checker and
   // review. Exception: conn.ShutdownBoth() is called under mu_ to unblock
@@ -130,10 +140,16 @@ class ShipServer {
     ClientShipStats stats;
     bool subscribed = false;
     bool closing = false;
+    // Frame indices count every frame ever published (see FrameAt).
     std::size_t cursor = 0;       // next archive frame to send
     std::size_t high_cursor = 0;  // one past the furthest frame ever sent
     bool rewound = false;         // a NAK moved the cursor; send resync first
     bool end_sent = false;
+    bool truncate_pending = false;  // asked below the archive: send C5TR
+    std::uint64_t ack = 0;          // lowest seq this client may still need
+    bool holds_floor = false;       // `ack` counts toward the floor
+    std::uint64_t subscribed_at = 0;
+    bool may_adopt = false;  // subscribed, and took over no dropped hold yet
     std::thread rx;
     std::thread tx;
   };
@@ -141,9 +157,25 @@ class ShipServer {
   void AcceptLoop();
   void ClientRxLoop(Client* c);
   void ClientTxLoop(Client* c);
-  // Archive frame index for record seq (last frame with base <= seq; 0 when
-  // seq precedes the archive).
+  // Frame index for record seq (last frame with base <= seq; the first
+  // retained frame when seq precedes the archive).
   std::size_t FrameIndexFor(std::uint64_t seq) const C5_REQUIRES(mu_);
+  // One past the last published frame, and a retained frame by index.
+  std::size_t EndIndex() const C5_REQUIRES(mu_) {
+    return dropped_frames_ + archive_.size();
+  }
+  const Frame& FrameAt(std::size_t index) const C5_REQUIRES(mu_) {
+    return archive_[index - dropped_frames_];
+  }
+  // Applies one client request.
+  void HandleRequest(Client* c, const Request& req) C5_REQUIRES(mu_);
+  // Drops the archived frames wholly below the floor.
+  void TrimLocked() C5_REQUIRES(mu_);
+  // Marks `c` closed and shuts its socket; its floor hold passes to a
+  // re-subscription that already arrived, or stays until one does.
+  void DisconnectLocked(Client* c) C5_REQUIRES(mu_);
+  // Passes `from`'s floor hold to `to` (a subscription at or above it).
+  void MoveHold(Client* from, Client* to) C5_REQUIRES(mu_);
 
   Options options_;
   TcpListener listener_;
@@ -152,7 +184,9 @@ class ShipServer {
 
   mutable Mutex mu_{LockRank::kQueue};
   CondVar cv_;
-  std::vector<Frame> archive_ C5_GUARDED_BY(mu_);
+  std::deque<Frame> archive_ C5_GUARDED_BY(mu_);
+  std::size_t dropped_frames_ C5_GUARDED_BY(mu_) = 0;  // trimmed off the front
+  std::uint64_t retained_seq_ C5_GUARDED_BY(mu_) = 0;  // first seq still kept
   std::uint64_t end_seq_ C5_GUARDED_BY(mu_) = 0;
   bool finished_ C5_GUARDED_BY(mu_) = false;
   bool stopping_ C5_GUARDED_BY(mu_) = false;

@@ -22,11 +22,20 @@ void SocketSegmentSource::Cancel() {
 
 log::LogSegment* SocketSegmentSource::Next() {
   for (;;) {
-    if (!ready_.empty()) {
-      log::LogSegment* seg = ready_.front();
+    while (!ready_.empty()) {
+      std::unique_ptr<log::LogSegment> seg = std::move(ready_.front());
       ready_.pop_front();
-      return seg;
+      if (seg->MaxTimestamp() <= released_through_) {
+        // Wholly at or below the release mark: already applied.
+        stats_.stale_skipped.fetch_add(1, std::memory_order_relaxed);
+        Retire(std::move(seg));
+        continue;
+      }
+      owned_.push_back(std::move(seg));
+      held_count_.store(owned_.size(), std::memory_order_relaxed);
+      return owned_.back().get();
     }
+    if (truncated_) return nullptr;
     if (cancelled_.load(std::memory_order_acquire)) return nullptr;
     if (finished_ &&
         expected_.load(std::memory_order_relaxed) >= final_seq_) {
@@ -149,7 +158,23 @@ void SocketSegmentSource::ProcessBuffered() {
       continue;
     }
 
-    if (magic == kResyncMagic || magic == kEndMagic) {
+    if (magic == kTruncatedMagic) {
+      if (b.size() < kControlBytes) return;  // torn: need more
+      std::uint64_t floor = 0;
+      if (DecodeControl(b, magic, &floor)) {
+        reasm_.Consume(kControlBytes);
+        truncated_ = true;
+        error_ = "server retains the log only from seq " +
+                 std::to_string(floor) + " but this backup needs seq " +
+                 std::to_string(expected_.load(std::memory_order_relaxed)) +
+                 ": resync from a checkpoint";
+        return;
+      }
+      // A refuted CRC: corruption like any other (falls through below).
+    }
+
+    if (magic == kResyncMagic || magic == kEndMagic ||
+        magic == kTruncatedMagic) {
       if (b.size() < kControlBytes) return;  // torn: need more
       std::uint64_t seq = 0;
       if (!DecodeControl(b, magic, &seq)) {
@@ -236,16 +261,42 @@ void SocketSegmentSource::HandleSegment(
 }
 
 void SocketSegmentSource::Deliver(std::unique_ptr<log::LogSegment> seg) {
-  ready_.push_back(seg.get());
-  owned_.push_back(std::move(seg));
+  ready_.push_back(std::move(seg));
   stats_.segments_delivered.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool SocketSegmentSource::SendNak() {
+void SocketSegmentSource::Retire(std::unique_ptr<log::LogSegment> seg) {
+  released_seq_ = std::max(released_seq_, seg->base_seq() + seg->size());
+  ++unacked_;
+}
+
+void SocketSegmentSource::Release(Timestamp applied_through) {
+  released_through_ = std::max(released_through_, applied_through);
+  while (!owned_.empty() &&
+         owned_.front()->MaxTimestamp() <= released_through_) {
+    Retire(std::move(owned_.front()));
+    owned_.pop_front();
+  }
+  held_count_.store(owned_.size(), std::memory_order_relaxed);
+  // A lost ack is harmless: a broken connection surfaces on the next read,
+  // and the re-subscription carries the resume point.
+  if (unacked_ >= kAckEvery && connected_ &&
+      SendRequest(RequestType::kAck, released_seq_)) {
+    unacked_ = 0;
+  }
+}
+
+bool SocketSegmentSource::SendRequest(RequestType type, std::uint64_t seq) {
   std::string req;
-  EncodeRequest(
-      {RequestType::kNak, expected_.load(std::memory_order_relaxed)}, &req);
-  if (!conn_.WriteAll(req.data(), req.size()).ok()) return false;
+  EncodeRequest({type, seq}, &req);
+  return conn_.WriteAll(req.data(), req.size()).ok();
+}
+
+bool SocketSegmentSource::SendNak() {
+  if (!SendRequest(RequestType::kNak,
+                   expected_.load(std::memory_order_relaxed))) {
+    return false;
+  }
   stats_.naks_sent.fetch_add(1, std::memory_order_relaxed);
   return true;
 }

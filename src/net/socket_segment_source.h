@@ -25,9 +25,13 @@
 // any thread while the replay runs (the crash-recovery test polls
 // segments_delivered to time its SIGKILL mid-stream).
 //
-// Ownership: delivered segments are owned by the source and stay alive for
-// its lifetime — replicas hold raw pointers into them, same contract as
-// Log / the DST channel.
+// Ownership: the source owns every segment it decoded. A delivered segment
+// stays alive until Release covers it (log::SegmentSource's contract); the
+// released prefix is freed, and once per kAckEvery released segments the
+// source acknowledges it to the server (kAck), which may then drop those
+// frames from its archive. A truncated reply (the server no longer holds
+// the records this source needs) ends the log: Next() returns nullptr and
+// error() says to resync from a checkpoint.
 
 #ifndef C5_NET_SOCKET_SEGMENT_SOURCE_H_
 #define C5_NET_SOCKET_SEGMENT_SOURCE_H_
@@ -41,12 +45,12 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
 #include "log/segment_source.h"
 #include "log/wire.h"
+#include "net/ship_protocol.h"
 #include "net/socket.h"
 
 namespace c5::net {
@@ -95,8 +99,13 @@ class SocketSegmentSource : public log::SegmentSource {
   SocketSegmentSource& operator=(const SocketSegmentSource&) = delete;
 
   // Blocks for the next in-order segment; nullptr at end-of-log, on
-  // Cancel(), or once max_connect_attempts is exhausted.
+  // Cancel(), on a truncated reply, or once max_connect_attempts is
+  // exhausted.
   log::LogSegment* Next() override;
+
+  // Frees the delivered prefix at or below `applied_through` and, every
+  // kAckEvery released segments, acknowledges it to the server.
+  void Release(Timestamp applied_through) override;
 
   // Wakes a blocked Next() and makes it (and every later call) return
   // nullptr. Callable from any thread; idempotent.
@@ -110,6 +119,14 @@ class SocketSegmentSource : public log::SegmentSource {
   std::uint64_t expected_seq() const {
     return expected_.load(std::memory_order_acquire);
   }
+  // Delivered segments not yet released (any thread; for the soak gate).
+  std::size_t held() const {
+    return held_count_.load(std::memory_order_relaxed);
+  }
+
+  // Released segments per kAck: an ack costs one small write, so the
+  // server learns the floor without a syscall per segment.
+  static constexpr std::uint64_t kAckEvery = 64;
 
  private:
   // All of these run on the scheduler thread (the only caller of Next).
@@ -118,7 +135,11 @@ class SocketSegmentSource : public log::SegmentSource {
   void ProcessBuffered();        // drain reasm_ into ready_
   void HandleSegment(std::unique_ptr<log::LogSegment> seg);
   void Deliver(std::unique_ptr<log::LogSegment> seg);
+  bool SendRequest(RequestType type, std::uint64_t seq);  // false: broken
   bool SendNak();                // false: connection is broken
+  // Frees a segment that will not be handed out again and moves the
+  // released seq past it.
+  void Retire(std::unique_ptr<log::LogSegment> seg);
   bool BackoffSleep(std::chrono::milliseconds d);  // false: cancelled
 
   const Options options_;
@@ -140,11 +161,16 @@ class SocketSegmentSource : public log::SegmentSource {
 
   std::atomic<std::uint64_t> expected_{0};
   std::map<std::uint64_t, std::unique_ptr<log::LogSegment>> reorder_;
-  std::deque<log::LogSegment*> ready_;
-  std::vector<std::unique_ptr<log::LogSegment>> owned_;
+  std::deque<std::unique_ptr<log::LogSegment>> ready_;  // in order, not out
+  std::deque<std::unique_ptr<log::LogSegment>> owned_;  // out, not released
+  std::atomic<std::size_t> held_count_{0};              // owned_.size()
+  Timestamp released_through_ = kInvalidTimestamp;
+  std::uint64_t released_seq_ = 0;  // every record below it is released
+  std::uint64_t unacked_ = 0;       // segments released since the last kAck
 
   bool finished_ = false;        // END control received
   std::uint64_t final_seq_ = 0;  // valid once finished_
+  bool truncated_ = false;       // truncated control received
 };
 
 }  // namespace c5::net

@@ -55,11 +55,7 @@ void KuaFuReplica::SchedulerLoop() {
           }
           last_writer[RowName(r->table, r->row)] = open;
         }
-        for (TxnNode* parent : parents) {
-          if (parent->TryAddChild(open)) {
-            open->deps.fetch_add(1, std::memory_order_acq_rel);
-          }
-        }
+        for (TxnNode* parent : parents) parent->TryAddChild(open);
       }
       MaybeReady(open);  // removes the scheduler's +1 hold
       ++txn_index;

@@ -83,13 +83,16 @@ class KuaFuReplica : public ReplicaBase {
     bool completed C5_GUARDED_BY(children_mu) = false;
     std::vector<TxnNode*> children C5_GUARDED_BY(children_mu);
 
-    // Returns true if the edge was added; false if this parent already
-    // completed (the child need not wait).
-    bool TryAddChild(TxnNode* child) {
+    // Makes `child` wait for this parent, unless the parent already
+    // completed. The edge is counted in child->deps under the lock, before
+    // the parent can see it: counted after the unlock, a parent completing
+    // in between would spend the scheduler's hold instead, and the child
+    // would be queued (and applied) twice.
+    void TryAddChild(TxnNode* child) {
       SpinLockGuard lock(children_mu);
-      if (completed) return false;
+      if (completed) return;
+      child->deps.fetch_add(1, std::memory_order_acq_rel);
       children.push_back(child);
-      return true;
     }
   };
 

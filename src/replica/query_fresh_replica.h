@@ -178,6 +178,12 @@ class QueryFreshReplica : public ReplicaBase {
   void StartThreads() override;
   void IngestLoop();
 
+  // Releases nothing: visibility passes a record as soon as it is indexed,
+  // but its row's redo chain points into the segment until a read (or
+  // InstantiateAll) executes it, which may be arbitrarily later. The
+  // source frees every segment when it is destroyed.
+  Timestamp ReleasableThrough() const override { return kInvalidTimestamp; }
+
   // Drains every pending redo list up to `ts` (single caller thread).
   void InstantiateAll(Timestamp ts);
 

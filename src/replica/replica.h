@@ -34,6 +34,18 @@
 // Catching up is one rule too: each protocol states when it is caught up
 // (CaughtUp()), and ReplicaBase::WaitUntilCaughtUp polls that predicate.
 //
+// The release contract: NextSegment() hands the source one release mark,
+// ReleasableThrough(), before every Next(), and the source may free every
+// delivered segment whose records all lie at or below it. The default mark
+// is VisibleTimestamp(): visibility is a transaction-aligned applied
+// prefix, and a protocol must never read a record at or below its
+// published snapshot again. A protocol that keeps reading applied records
+// (Query Fresh's lazy redo chains) overrides the mark.
+//
+// The input contract: NextSegment() refuses a segment naming a table this
+// backup does not have. That ends the replica's log like a cancel, and
+// log_error() says why; the backup never indexes past its tables.
+//
 // The read surface (point get, multi-get, ordered scan) is c5::Snapshot
 // (api/snapshot.h), an RAII handle combining the epoch guard, reader
 // registration, and the pinned visible timestamp (OpenSnapshot below).
@@ -138,6 +150,13 @@ class ReplicaBase {
   // ProtocolOptions::instance_id); not synchronized against concurrent use.
   void SetInstanceId(std::string id) { instance_id_ = std::move(id); }
   const std::string& instance_id() const { return instance_id_; }
+
+  // Non-empty once NextSegment() refused a malformed segment and ended the
+  // log (see the input contract above). Any thread.
+  std::string log_error() const {
+    MutexLock lock(log_error_mu_);
+    return log_error_;
+  }
 
   // "instance_id(protocol)" when an id was assigned, else the protocol name.
   std::string DisplayName() const {
@@ -255,11 +274,30 @@ class ReplicaBase {
   // exit on it.
   bool stopping() const { return stopping_.load(std::memory_order_acquire); }
 
+  // The release mark handed to the source (see the release contract above):
+  // no protocol thread reads a record at or below it again.
+  virtual Timestamp ReleasableThrough() const { return VisibleTimestamp(); }
+
   // The next segment of the log, or nullptr at end of log — which a stop
-  // forces, so finite sources end early too. The only way a scheduler or
-  // ingest loop reads the log.
+  // forces, so finite sources end early too, and so does a segment that
+  // names a table this backup lacks. Releases the applied prefix first.
+  // The only way a scheduler or ingest loop reads the log.
   log::LogSegment* NextSegment() {
-    return stopping() ? nullptr : source_->Next();
+    if (stopping()) return nullptr;
+    source_->Release(ReleasableThrough());
+    log::LogSegment* seg = source_->Next();
+    if (seg == nullptr) return nullptr;
+    const TableId tables = static_cast<TableId>(db_->NumTables());
+    for (const log::LogRecord& rec : seg->records()) {
+      if (rec.table >= tables) {
+        MutexLock lock(log_error_mu_);
+        log_error_ = "segment at seq " + std::to_string(seg->base_seq()) +
+                     " names table " + std::to_string(rec.table) +
+                     " but the backup has " + std::to_string(tables);
+        return nullptr;
+      }
+    }
+    return seg;
   }
 
   // Applies one log record through the shared replicated-write primitive
@@ -348,6 +386,8 @@ class ReplicaBase {
   std::vector<std::thread> threads_;
   mutable Mutex apply_latency_mu_{LockRank::kStats};
   Histogram apply_latency_ C5_GUARDED_BY(apply_latency_mu_);
+  mutable Mutex log_error_mu_{LockRank::kStats};
+  std::string log_error_ C5_GUARDED_BY(log_error_mu_);
   std::string instance_id_;
 };
 

@@ -60,7 +60,9 @@ class DstChannel {
   DstChannel(const DstChannel&) = delete;
   DstChannel& operator=(const DstChannel&) = delete;
 
-  // In-order (reassembled) delivery sequence; segments owned by the channel.
+  // In-order (reassembled) delivery sequence. The channel owns the segments
+  // for its lifetime: its sources ignore Release, so one delivery sequence
+  // can feed several replica incarnations (crash, restart, promotion).
   const std::vector<log::LogSegment*>& delivered() const { return delivered_; }
 
   const DstChannelStats& stats() const { return stats_; }

@@ -166,7 +166,7 @@ Status LoadCheckpoint(Database* db, const std::string& path,
       if (!GetInt(&rd, &key) || !GetInt(&rd, &row) || !GetInt(&rd, &bind_ts) ||
           !GetInt(&rd, &write_ts) || !GetInt(&rd, &deleted) ||
           !GetInt(&rd, &value_len) || rd.size() < value_len ||
-          row >= Table::kMaxRows) {
+          row >= kMaxRows) {
         return Status::InvalidArgument("malformed checkpoint entry");
       }
       const std::string_view value = rd.substr(0, value_len);

@@ -60,8 +60,7 @@ class Table {
 
   // ---- Row slot management -------------------------------------------------
 
-  // Row ids a table can hold: [0, kMaxRows).
-  static constexpr RowId kMaxRows = RowId{1} << 31;
+  // Row ids a table can hold: [0, kMaxRows) (common/types.h).
 
   // Allocates a fresh row slot (primary insert path).
   RowId AllocateRow();

@@ -239,7 +239,6 @@ TEST(C5WatermarkTest, ParkedIdleWorkersFollowTheWatermark) {
   C5Replica replica(&backup, C5Replica::Options{.num_workers = 4});
   replica.Start(&source);
 
-  std::vector<std::unique_ptr<log::LogSegment>> segments;
   const std::string value = "v";
   Timestamp ts = 0;
   std::uint64_t seq = 0;
@@ -258,10 +257,9 @@ TEST(C5WatermarkTest, ParkedIdleWorkersFollowTheWatermark) {
     }
     seq += seg->size();
     const Timestamp seg_max = seg->MaxTimestamp();
-    segments.push_back(std::move(seg));
 
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    ASSERT_TRUE(channel.Push(segments.back().get()));
+    ASSERT_TRUE(channel.Push(seg.release()));
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
     while (replica.VisibleTimestamp() < seg_max &&
@@ -302,7 +300,6 @@ TEST(C5WatermarkTest, WorkersPublishVisibilityWithoutSnapshotter) {
                                                 .gc_every = 0});
   replica.Start(&source);
 
-  std::vector<std::unique_ptr<log::LogSegment>> segments;
   const std::string value = "v";
   Timestamp ts = 0;
   std::uint64_t seq = 0;
@@ -322,10 +319,9 @@ TEST(C5WatermarkTest, WorkersPublishVisibilityWithoutSnapshotter) {
     }
     seq += seg->size();
     const Timestamp seg_max = seg->MaxTimestamp();
-    segments.push_back(std::move(seg));
 
     std::this_thread::sleep_for(std::chrono::milliseconds(1 + s % 2));
-    ASSERT_TRUE(channel.Push(segments.back().get()));
+    ASSERT_TRUE(channel.Push(seg.release()));
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
     while (replica.VisibleTimestamp() < seg_max &&
@@ -369,7 +365,6 @@ TEST(C5WatermarkTest, LagSampleRecordedAfterVisibilityIsDrained) {
                     C5Replica::Options{.num_workers = 2, .gc_every = 0}, &lag);
   replica.Start(&source);
 
-  std::vector<std::unique_ptr<log::LogSegment>> segments;
   for (Timestamp ts = 1; ts <= 2; ++ts) {
     auto seg = std::make_unique<log::LogSegment>(ts - 1);
     log::LogRecord rec;
@@ -381,8 +376,7 @@ TEST(C5WatermarkTest, LagSampleRecordedAfterVisibilityIsDrained) {
     rec.last_in_txn = true;
     rec.value = "v";
     seg->Append(rec);
-    segments.push_back(std::move(seg));
-    ASSERT_TRUE(channel.Push(segments.back().get()));
+    ASSERT_TRUE(channel.Push(seg.release()));
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
     while (replica.VisibleTimestamp() < ts &&

@@ -151,7 +151,7 @@ TEST(CheckpointTest, RowBeyondTableCapacityRejected) {
   put(std::uint32_t{0});                 // table id
   put(std::uint64_t{1});                 // entry count
   put(Key{7});                           // key
-  put(RowId{storage::Table::kMaxRows});  // row: one past the capacity
+  put(RowId{kMaxRows});                 // row: one past the capacity
   put(Timestamp{5});                     // binding timestamp
   put(Timestamp{5});                     // write timestamp
   put(std::uint8_t{0});                  // deleted

@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "api/cluster.h"
 #include "core/protocol_factory.h"
@@ -167,6 +169,97 @@ TEST(NetTest, SubscribeFromMidStreamResumes) {
   server.Stop();
 }
 
+// A backup that released its applied prefix acks it, and the server drops
+// the acknowledged frames. A later subscriber asking for a dropped record
+// gets the truncated reply: its log ends with an error, and no segment from
+// the hole is ever delivered.
+TEST(NetTest, SubscribeBelowTheAckedFloorIsTruncated) {
+  auto spec = TestSpec(test::TestSeed(23));
+  spec.txns_per_client = 400;
+  spec.segment_capacity = 8;
+  log::Log log = workload::BuildSeededLog(spec);
+  ASSERT_GT(log.NumSegments(),
+            2 * net::SocketSegmentSource::kAckEvery);
+
+  net::ShipServer server;
+  ASSERT_TRUE(server.Start().ok());
+  server.PublishLog(log);
+  server.FinishLog();
+  const std::uint64_t published = server.frames_published();
+  EXPECT_EQ(server.retained_frames(), published)
+      << "nothing may be dropped before anyone subscribed";
+
+  net::SocketSegmentSource::Options so;
+  so.port = server.port();
+  // The first backup applies and releases each segment as it arrives.
+  net::SocketSegmentSource first(so);
+  std::size_t delivered = 0;
+  while (log::LogSegment* seg = first.Next()) {
+    first.Release(seg->MaxTimestamp());
+    ++delivered;
+  }
+  EXPECT_EQ(delivered, log.NumSegments());
+  EXPECT_EQ(first.held(), 0u);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.retained_frames() == published &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_LT(server.retained_frames(), published)
+      << "the first backup's acks never dropped a frame";
+
+  net::SocketSegmentSource second(so);
+  EXPECT_EQ(second.Next(), nullptr);
+  EXPECT_NE(second.error().find("resync from a checkpoint"),
+            std::string::npos)
+      << second.error();
+  EXPECT_EQ(second.stats().segments_delivered.load(), 0u);
+  server.Stop();
+}
+
+// Acks trim the archive while the stream runs; a connection dropped after
+// that must still resume: the dropped client's ack holds the floor until
+// its own re-subscription takes the hold over.
+TEST(NetTest, ReconnectResumesAfterAcksTrimmedTheArchive) {
+  auto spec = TestSpec(test::TestSeed(29));
+  spec.txns_per_client = 400;
+  spec.segment_capacity = 8;
+  log::Log log = workload::BuildSeededLog(spec);
+  ASSERT_GT(log.NumSegments(), 4 * net::SocketSegmentSource::kAckEvery);
+
+  net::ShipServer::Options options;
+  options.drop_after_frames = 3 * net::SocketSegmentSource::kAckEvery;
+  net::ShipServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  server.PublishLog(log);
+  server.FinishLog();
+
+  net::SocketSegmentSource::Options so;
+  so.port = server.port();
+  so.backoff_initial = std::chrono::milliseconds(1);
+  net::SocketSegmentSource source(so);
+  std::uint64_t next_seq = 0;
+  while (log::LogSegment* seg = source.Next()) {
+    // Redelivered overlap is allowed; a hole is not.
+    ASSERT_LE(seg->base_seq(), next_seq);
+    next_seq = std::max(next_seq, seg->base_seq() + seg->size());
+    source.Release(seg->MaxTimestamp());
+  }
+  EXPECT_TRUE(source.error().empty()) << source.error();
+  EXPECT_EQ(next_seq, server.end_seq());
+  EXPECT_GE(source.stats().reconnects.load(), 1u);
+  // The acks after the reconnect move the floor the dropped hold kept.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.retained_frames() == server.frames_published() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_LT(server.retained_frames(), server.frames_published());
+  server.Stop();
+}
+
 TEST(NetTest, ConnectFailureGivesUpAfterMaxAttempts) {
   // A listener that never answers: bind an ephemeral port, then shut the
   // listener so connects are refused.
@@ -240,6 +333,25 @@ TEST(NetTest, ShipProtocolCodecRoundTrips) {
   bad[0] = 'X';
   EXPECT_FALSE(net::DecodeRequest(bad, &req, &malformed));
   EXPECT_TRUE(malformed);
+
+  bytes.clear();
+  net::EncodeRequest({net::RequestType::kAck, 4096}, &bytes);
+  ASSERT_TRUE(net::DecodeRequest(bytes, &req, &malformed));
+  EXPECT_EQ(req.type, net::RequestType::kAck);
+  EXPECT_EQ(req.arg, 4096u);
+  std::string unknown = bytes;
+  unknown[4] = 4;  // one past the last request type
+  EXPECT_FALSE(net::DecodeRequest(unknown, &req, &malformed));
+  EXPECT_TRUE(malformed);
+
+  std::string truncated;
+  net::EncodeControl(net::kTruncatedMagic, 777, &truncated);
+  ASSERT_EQ(truncated.size(), net::kControlBytes);
+  std::uint64_t floor = 0;
+  ASSERT_TRUE(net::DecodeControl(truncated, net::kTruncatedMagic, &floor));
+  EXPECT_EQ(floor, 777u);
+  EXPECT_EQ(net::PeekMagic(truncated), net::kTruncatedMagic);
+  EXPECT_FALSE(net::DecodeControl(truncated, net::kEndMagic, &floor));
 
   std::string control;
   net::EncodeControl(net::kEndMagic, 424242, &control);

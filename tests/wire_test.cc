@@ -265,6 +265,42 @@ TEST(WireTest, ValidCrcHostileStructureIsRejected) {
   }
 }
 
+// A CRC-valid frame whose row id no table can hold is malformed, not data:
+// replaying it would index past the table's row chunks. The verdict is
+// InvalidArgument, so a socket receiver takes the NAK path.
+TEST(WireTest, RowPastTableCapacityIsRejected) {
+  for (const RowId row : {kMaxRows, RowId{1} << 40, kInvalidRowId}) {
+    LogSegment seg(0);
+    log::LogRecord rec;
+    rec.op = OpType::kInsert;
+    rec.last_in_txn = true;
+    rec.row = row;
+    rec.commit_ts = 1;
+    seg.Append(rec);
+    std::string bytes;
+    EncodeSegment(seg, &bytes);
+    std::size_t consumed = 0;
+    std::unique_ptr<LogSegment> decoded;
+    EXPECT_EQ(DecodeSegment(bytes, &consumed, &decoded).code(),
+              StatusCode::kInvalidArgument)
+        << "row " << row;
+  }
+  // The last row a table can hold still decodes.
+  LogSegment seg(0);
+  log::LogRecord rec;
+  rec.op = OpType::kInsert;
+  rec.last_in_txn = true;
+  rec.row = kMaxRows - 1;
+  rec.commit_ts = 1;
+  seg.Append(rec);
+  std::string bytes;
+  EncodeSegment(seg, &bytes);
+  std::size_t consumed = 0;
+  std::unique_ptr<LogSegment> decoded;
+  ASSERT_TRUE(DecodeSegment(bytes, &consumed, &decoded).ok());
+  EXPECT_EQ(decoded->record(0).row, kMaxRows - 1);
+}
+
 TEST(WireTest, TruncationIsTornTail) {
   const auto seg_ptr = MakeSegment(1, 10);
   std::string bytes;
