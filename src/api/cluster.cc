@@ -21,14 +21,12 @@ BackupNode::BackupNode(BackupOptions options) : options_(std::move(options)) {
 BackupNode::~BackupNode() { Stop(); }
 
 void BackupNode::MakeProtocol() {
+  replica_ = core::MakeReplica(options_.protocol, &db_,
+                               options_.protocol_options, options_.lag);
   // The node id names the NODE, not the incarnation: every protocol rebuilt
   // by Restart carries the same instance id, so multi-shard failure output
   // stays attributable across crash/restart cycles.
-  core::ProtocolOptions po = options_.protocol_options;
-  if (po.instance_id.empty()) po.instance_id = options_.id;
-  // Per-node apply-stage sizing; Restart rebuilds with the same override.
-  if (options_.replay_workers > 0) po.num_workers = options_.replay_workers;
-  replica_ = core::MakeReplica(options_.protocol, &db_, po, options_.lag);
+  if (!options_.id.empty()) replica_->SetInstanceId(options_.id);
 }
 
 std::string BackupNode::id() const {
@@ -152,9 +150,8 @@ TableId Cluster::CreateTable(std::string name, std::size_t expected_keys) {
   return primary_db_.CreateTable(std::move(name), expected_keys);
 }
 
-void Cluster::Start() {
-  if (started_) return;
-  started_ = true;
+Status Cluster::Start() {
+  if (started_) return Status::Ok();
 
   const auto specs = ResolvedSpecs();
 
@@ -171,6 +168,23 @@ void Cluster::Start() {
     sinks.push_back(&shipping_->collector);
   }
   sinks.push_back(&taps_);
+
+  // The ship server (real-socket transport) listens before anything else
+  // starts: a port it cannot bind fails Start with no engine, backup or
+  // flusher thread running, and leaves the cluster unstarted.
+  if (want_server) {
+    net::ShipServer::Options so;
+    so.port = options_.listen_port > 0
+                  ? static_cast<std::uint16_t>(options_.listen_port)
+                  : 0;
+    shipping_->server = std::make_unique<net::ShipServer>(so);
+    const Status ss = shipping_->server->Start();
+    if (!ss.ok()) {
+      shipping_.reset();
+      return ss;
+    }
+  }
+  started_ = true;
   tee_ = std::make_unique<log::TeeCollector>(std::move(sinks));
 
   // Primary engine. Online sequencing needs the engine's release horizon —
@@ -210,20 +224,10 @@ void Cluster::Start() {
     return shipping_->collector.AddSubscriber();
   };
 
-  // The ship server (real-socket transport) consumes one lane and streams
-  // it to every TCP subscriber — external processes and this cluster's own
-  // via_socket backups alike.
-  if (want_server) {
-    net::ShipServer::Options so;
-    so.port = options_.listen_port > 0
-                  ? static_cast<std::uint16_t>(options_.listen_port)
-                  : 0;
-    shipping_->server = std::make_unique<net::ShipServer>(so);
-    const Status ss = shipping_->server->Start();
-    assert(ss.ok() && "ship server failed to listen");
-    (void)ss;
-    shipping_->server->ServeChannel(claim_channel());
-  }
+  // The ship server consumes one lane and streams it to every TCP
+  // subscriber — external processes and this cluster's own via_socket
+  // backups alike.
+  if (want_server) shipping_->server->ServeChannel(claim_channel());
 
   // The fleet: one node per spec, schema mirrored (table ids match by
   // creation order), each consuming its own lane — a subscriber channel, or
@@ -232,7 +236,9 @@ void Cluster::Start() {
     BackupOptions bo;
     bo.protocol = specs[i].protocol;
     bo.protocol_options = options_.protocol;
-    bo.replay_workers = options_.replay_workers;
+    if (options_.replay_workers > 0) {
+      bo.protocol_options.num_workers = options_.replay_workers;
+    }
     bo.lag = specs[i].lag;
     bo.id = options_.id + "/backup" + std::to_string(i);
     nodes_.push_back(std::make_unique<BackupNode>(std::move(bo)));
@@ -272,6 +278,7 @@ void Cluster::Start() {
       }
     });
   }
+  return Status::Ok();
 }
 
 Status Cluster::RunOnPrimary(const txn::TxnFn& fn, Timestamp* commit_ts,

@@ -72,12 +72,6 @@ namespace c5 {
 struct BackupOptions {
   core::ProtocolKind protocol = core::ProtocolKind::kC5;
   core::ProtocolOptions protocol_options{};
-  // Replay-worker override: when > 0, replaces protocol_options.num_workers
-  // for this node. Separate from protocol_options so a heterogeneous fleet
-  // can share one ProtocolOptions while sizing each node's apply stage
-  // independently (and so DST plans can sweep worker counts without
-  // disturbing the rest of the protocol draw).
-  int replay_workers = 0;
   replica::LagTracker* lag = nullptr;
   // Stable node id ("shard0/backup1"): threaded into the protocol's
   // ReplicaBase::instance_id() so logs and DST failure output can attribute
@@ -195,8 +189,8 @@ struct ClusterOptions {
   // core::ProtocolOptions).
   core::ProtocolOptions protocol{.num_workers = 2};
 
-  // Replay-worker override for every backup (see
-  // BackupOptions::replay_workers). 0: use protocol.num_workers.
+  // Replay-worker override for every backup: when > 0, Start uses it as
+  // each node's protocol.num_workers. 0: use protocol.num_workers.
   int replay_workers = 0;
 
   // Log shipping: records per shipped segment, and how often the background
@@ -313,8 +307,10 @@ class Cluster {
   TableId CreateTable(std::string name, std::size_t expected_keys = 0);
 
   // Brings the cluster up: primary engine, one shipping channel per backup,
-  // backup protocol threads, background flusher.
-  void Start();
+  // backup protocol threads, background flusher. Fails, before any backup
+  // or flusher thread starts, when the ship server cannot listen; Shutdown
+  // and the destructor stay safe after a failed Start.
+  Status Start();
 
   // ---- Write path (primary) ----
   // One attempt / retry-loop execution of a read-write transaction on the

@@ -111,10 +111,17 @@ TableId ShardedCluster::CreateTable(std::string name,
   return id;
 }
 
-void ShardedCluster::Start() {
-  if (started_) return;
+Status ShardedCluster::Start() {
+  if (started_) return Status::Ok();
+  for (auto& shard : shards_) {
+    const Status s = shard->Start();
+    if (!s.ok()) {
+      Shutdown();  // the groups that did start
+      return s;
+    }
+  }
   started_ = true;
-  for (auto& shard : shards_) shard->Start();
+  return Status::Ok();
 }
 
 // ---- Migration gates --------------------------------------------------------

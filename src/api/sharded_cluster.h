@@ -132,7 +132,9 @@ class ShardedCluster {
   TableId CreateTable(std::string name, std::size_t expected_keys = 0,
                       ShardRouter::PartitionFn partition = nullptr);
 
-  void Start();
+  // Starts every shard group (Cluster::Start). On a failure, shuts down the
+  // groups already started and returns the error.
+  Status Start();
 
   // ---- Topology -------------------------------------------------------------
   std::size_t num_shards() const { return shards_.size(); }

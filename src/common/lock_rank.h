@@ -76,8 +76,10 @@ enum class LockRank : std::uint8_t {
   // Per-replica scheduler/worker structures: key queues, row pending lists,
   // dependency-graph children lists, batch pools.
   kReplicaState = 50,
-  // Hand-off queues and transport state: MpmcQueue, replay dispatch queues,
-  // ShipServer, SocketSegmentSource.
+  // Hand-off queues and transport state: MpmcQueue and C5-MyRocks's
+  // TxnDispatchQueue (held only to move items; their consumers park on an
+  // EventCount with the mutex released), ShipServer (its tx threads wait on
+  // a CondVar under it), SocketSegmentSource.
   kQueue = 55,
   // Storage growth latches (Table chunk growth, row-state map growth).
   kStorage = 60,

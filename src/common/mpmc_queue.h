@@ -2,21 +2,21 @@
 #define C5_COMMON_MPMC_QUEUE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <deque>
 #include <optional>
 
+#include "common/event_count.h"
 #include "common/mutex.h"
-#include "common/spin_lock.h"
 #include "common/thread_annotations.h"
 
 namespace c5 {
 
-// Unbounded multi-producer multi-consumer FIFO queue. Lock-based with a
-// spin-then-block consumer: at replica rates (hundreds of thousands of
-// hand-offs per second) the dominant cost of a naive mutex+condvar queue is
-// wakeup latency whenever the queue oscillates around empty, so Pop() polls
-// briefly before sleeping and Push() only notifies when a consumer is
-// actually blocked.
+// Unbounded multi-producer multi-consumer FIFO queue: a mutex-guarded deque.
+// A consumer waiting on an empty queue spins briefly and then parks on an
+// EventCount until a Push (or Close) wakes it, so an idle worker pool costs
+// no CPU. The atomic size keeps waiting consumers off the mutex, where a
+// pack of pollers would convoy the producer.
 template <typename T>
 class MpmcQueue {
  public:
@@ -28,70 +28,51 @@ class MpmcQueue {
     {
       MutexLock lock(mu_);
       items_.push_back(std::move(value));
+      size_.store(items_.size(), std::memory_order_release);
     }
-    size_hint_.fetch_add(1, std::memory_order_release);
-    if (waiters_.load(std::memory_order_acquire) > 0) cv_.NotifyOne();
+    not_empty_.NotifyOne();
   }
 
-  // Blocks until an item is available or the queue is closed and drained.
+  // Blocks (spin, then park) until an item is available. Returns nullopt
+  // once the queue is closed *and* drained.
   std::optional<T> Pop() {
-    // Spin phase: poll without sleeping (bounded, then fall back to the
-    // condition variable so idle consumers don't burn a core forever). The
-    // size hint keeps spinners off the mutex while the queue is empty —
-    // otherwise a pack of spinning consumers convoys the producer.
-    for (int spin = 0; spin < 16384; ++spin) {
-      if (size_hint_.load(std::memory_order_acquire) > 0) {
+    while (true) {
+      if (auto v = TryPop()) return v;
+      if (closed()) {
+        // Re-check: a push may have raced with Close().
         if (auto v = TryPop()) return v;
-      } else if (closed_flag_.load(std::memory_order_acquire)) {
-        MutexLock lock(mu_);
-        if (items_.empty()) return std::nullopt;
+        return std::nullopt;
       }
-      CpuRelax();
+      not_empty_.Await([this] { return Size() != 0 || closed(); });
     }
-    MutexLock lock(mu_);
-    waiters_.fetch_add(1, std::memory_order_acq_rel);
-    // Explicit loop (not a predicate lambda): the thread-safety analysis
-    // must see the guarded reads performed while mu_ is held.
-    while (items_.empty() && !closed_) cv_.Wait(lock);
-    waiters_.fetch_sub(1, std::memory_order_acq_rel);
-    if (items_.empty()) return std::nullopt;
-    T value = std::move(items_.front());
-    items_.pop_front();
-    size_hint_.fetch_sub(1, std::memory_order_release);
-    return value;
   }
 
   std::optional<T> TryPop() {
+    if (Size() == 0) return std::nullopt;
     MutexLock lock(mu_);
     if (items_.empty()) return std::nullopt;
     T value = std::move(items_.front());
     items_.pop_front();
-    size_hint_.fetch_sub(1, std::memory_order_release);
+    size_.store(items_.size(), std::memory_order_release);
     return value;
   }
 
+  // Wakes every parked Pop; each drains what is left, then returns nullopt.
   void Close() {
-    {
-      MutexLock lock(mu_);
-      closed_ = true;
-    }
-    closed_flag_.store(true, std::memory_order_release);
-    cv_.NotifyAll();
+    closed_.store(true, std::memory_order_release);
+    not_empty_.NotifyAll();
   }
 
-  std::size_t Size() const {
-    MutexLock lock(mu_);
-    return items_.size();
-  }
+  std::size_t Size() const { return size_.load(std::memory_order_acquire); }
 
  private:
-  mutable Mutex mu_;
-  CondVar cv_;
+  bool closed() const { return closed_.load(std::memory_order_acquire); }
+
+  Mutex mu_;
   std::deque<T> items_ C5_GUARDED_BY(mu_);
-  bool closed_ C5_GUARDED_BY(mu_) = false;
-  std::atomic<bool> closed_flag_{false};
-  std::atomic<int> waiters_{0};
-  alignas(64) std::atomic<std::size_t> size_hint_{0};
+  alignas(64) std::atomic<std::size_t> size_{0};
+  std::atomic<bool> closed_{false};
+  alignas(64) EventCount not_empty_;
 };
 
 }  // namespace c5

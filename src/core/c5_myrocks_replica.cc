@@ -16,80 +16,48 @@ namespace c5::core {
 void C5MyRocksReplica::TxnDispatchQueue::PushBatch(const TxnUnit* txns,
                                                    std::size_t count) {
   if (count == 0) return;
-  bool need_notify;
   {
     MutexLock lock(mu_);
     queue_.insert(queue_.end(), txns, txns + count);
-    need_notify = waiters_ > 0;
+    size_hint_.store(queue_.size(), std::memory_order_release);
   }
-  size_hint_.fetch_add(count, std::memory_order_release);
-  // One wakeup is enough: a woken worker that pops and leaves more behind
-  // re-arms nothing, but its sibling spinners see the size hint, and a
-  // multi-transaction batch wakes the whole pool explicitly.
-  if (need_notify) {
-    if (count > 1) {
-      cv_.NotifyAll();
-    } else {
-      cv_.NotifyOne();
-    }
+  // A multi-transaction batch has work for the whole pool.
+  if (count > 1) {
+    not_empty_.NotifyAll();
+  } else {
+    not_empty_.NotifyOne();
   }
 }
 
 std::optional<C5MyRocksReplica::TxnUnit>
 C5MyRocksReplica::TxnDispatchQueue::Pop(int worker,
                                         bool completed_all_prior) {
-  // A floor reset (completion declared) must land even if the pop waits or
-  // the queue is closed: a stale floor would pin MinUnapplied below work
-  // that is already fully applied, stalling the snapshot boundary forever.
-  // In-flight transitions happen under the same mutex as the pop, so
-  // MinUnapplied never misses a transaction in transit.
-  // Takes the guarded vector as a parameter (not via captured `this`) so the
-  // thread-safety analysis sees the access happen at the locked call site.
-  const auto mark = [&completed_all_prior](std::vector<Timestamp>& inflight,
-                                           int w, Timestamp ts) {
-    if (completed_all_prior) {
-      inflight[w] = ts;
-    } else {
-      // min(): the worker's floor may already sit at an older open txn.
-      inflight[w] = std::min(inflight[w], ts);
-    }
-  };
-  // Spin phase: wakeup latency dominates when the queue oscillates around
-  // empty at high transaction rates, so poll before sleeping. The size hint
-  // keeps spinners off the mutex while the queue is empty. The budget is
-  // deliberately modest: on a host with fewer cores than threads, a long
-  // spin burns the quantum the producer needs to refill the queue.
-  for (int spin = 0; spin < 2048; ++spin) {
-    if (size_hint_.load(std::memory_order_acquire) > 0) {
+  while (true) {
+    {
       MutexLock lock(mu_);
-      if (!queue_.empty()) {
-        TxnUnit txn = queue_.front();
-        queue_.pop_front();
-        size_hint_.fetch_sub(1, std::memory_order_release);
-        mark(inflight_, worker, txn.commit_ts);
-        return txn;
-      }
-    } else if ((spin & 255) == 0) {
-      MutexLock lock(mu_);
+      // A floor reset (completion declared) must land before the worker
+      // parks or returns at close: a stale floor would pin MinUnapplied
+      // below work that is already fully applied, stalling the snapshot
+      // boundary for as long as the worker sleeps.
       if (completed_all_prior) inflight_[worker] = kMaxTimestamp;
       completed_all_prior = false;
-      if (closed_ && queue_.empty()) return std::nullopt;
+      if (!queue_.empty()) {
+        const TxnUnit txn = queue_.front();
+        queue_.pop_front();
+        size_hint_.store(queue_.size(), std::memory_order_release);
+        // min(): the worker's floor may already sit at an older open txn.
+        inflight_[worker] = std::min(inflight_[worker], txn.commit_ts);
+        return txn;
+      }
+      // Only the scheduler closes the queue, after its last push: an empty
+      // queue seen closed under the mutex stays empty.
+      if (closed_.load(std::memory_order_acquire)) return std::nullopt;
     }
-    CpuRelax();
+    not_empty_.Await([this] {
+      return size_hint_.load(std::memory_order_acquire) != 0 ||
+             closed_.load(std::memory_order_acquire);
+    });
   }
-  MutexLock lock(mu_);
-  if (completed_all_prior) inflight_[worker] = kMaxTimestamp;
-  waiters_++;
-  // Explicit loop (not a predicate lambda): the thread-safety analysis
-  // must see the guarded reads performed while mu_ is held.
-  while (queue_.empty() && !closed_) cv_.Wait(lock);
-  waiters_--;
-  if (queue_.empty()) return std::nullopt;
-  TxnUnit txn = queue_.front();
-  queue_.pop_front();
-  size_hint_.fetch_sub(1, std::memory_order_release);
-  inflight_[worker] = std::min(inflight_[worker], txn.commit_ts);
-  return txn;
 }
 
 std::optional<C5MyRocksReplica::TxnUnit>
@@ -97,9 +65,9 @@ C5MyRocksReplica::TxnDispatchQueue::TryPop(int worker) {
   if (size_hint_.load(std::memory_order_acquire) == 0) return std::nullopt;
   MutexLock lock(mu_);
   if (queue_.empty()) return std::nullopt;
-  TxnUnit txn = queue_.front();
+  const TxnUnit txn = queue_.front();
   queue_.pop_front();
-  size_hint_.fetch_sub(1, std::memory_order_release);
+  size_hint_.store(queue_.size(), std::memory_order_release);
   inflight_[worker] = std::min(inflight_[worker], txn.commit_ts);
   return txn;
 }
@@ -110,11 +78,8 @@ void C5MyRocksReplica::TxnDispatchQueue::SetFloor(int worker, Timestamp ts) {
 }
 
 void C5MyRocksReplica::TxnDispatchQueue::Close() {
-  {
-    MutexLock lock(mu_);
-    closed_ = true;
-  }
-  cv_.NotifyAll();
+  closed_.store(true, std::memory_order_release);
+  not_empty_.NotifyAll();
 }
 
 Timestamp C5MyRocksReplica::TxnDispatchQueue::MinUnapplied() const {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/event_count.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "replica/replica.h"
@@ -86,19 +87,20 @@ class C5MyRocksReplica : public replica::ReplicaBase {
         : inflight_(num_workers, kMaxTimestamp) {}
 
     // Enqueues a whole segment's transactions under ONE mutex acquisition
-    // and at most one wakeup. The scheduler dispatches per segment; pushing
-    // per transaction costs a futex notify per commit at live-primary rates
+    // and one notify. The scheduler dispatches per segment; pushing per
+    // transaction costs a wake-up per commit at live-primary rates
     // (hundreds of thousands of syscalls/s), which on an oversubscribed
     // host comes straight out of the primary's CPU budget.
     void PushBatch(const TxnUnit* txns, std::size_t count);
-    // Blocks; returns nullopt when closed and drained. With
-    // `completed_all_prior` the worker declares everything it previously
-    // popped fully applied, so its floor is RESET to the popped transaction
-    // (or kMaxTimestamp while it waits / at close) under the pop mutex —
-    // completion and next-pop in one mutex acquisition, the per-transaction
-    // fast path. Without it the floor only LOWERS (min), for a worker whose
-    // window still holds older open transactions. Either way MinUnapplied
-    // never misses a transaction in transit.
+    // Blocks (spin, then park on the EventCount); returns nullopt when
+    // closed and drained. With `completed_all_prior` the worker declares
+    // everything it previously popped fully applied, so its floor is RESET
+    // to the popped transaction (or kMaxTimestamp before it parks / at
+    // close) under the pop mutex — completion and next-pop in one mutex
+    // acquisition, the per-transaction fast path. Without it the floor only
+    // LOWERS (min), for a worker whose window still holds older open
+    // transactions. Either way MinUnapplied never misses a transaction in
+    // transit.
     std::optional<TxnUnit> Pop(int worker, bool completed_all_prior = false);
     // Non-blocking Pop for a worker that still has open transactions (its
     // floor stays put — popped transactions are newer than anything open).
@@ -114,12 +116,12 @@ class C5MyRocksReplica : public replica::ReplicaBase {
 
    private:
     mutable Mutex mu_{LockRank::kQueue};
-    CondVar cv_;
     std::deque<TxnUnit> queue_ C5_GUARDED_BY(mu_);
     std::vector<Timestamp> inflight_ C5_GUARDED_BY(mu_);
-    bool closed_ C5_GUARDED_BY(mu_) = false;
-    int waiters_ C5_GUARDED_BY(mu_) = 0;
+    // queue_.size(), stored under mu_: lets idle workers wait off the mutex.
     alignas(64) std::atomic<std::size_t> size_hint_{0};
+    std::atomic<bool> closed_{false};
+    alignas(64) EventCount not_empty_;
   };
 
   void StartThreads() override;

@@ -33,9 +33,7 @@ const char* ToString(ProtocolKind kind) {
   return "unknown";
 }
 
-namespace {
-
-std::unique_ptr<replica::ReplicaBase> MakeReplicaImpl(
+std::unique_ptr<replica::ReplicaBase> MakeReplica(
     ProtocolKind kind, storage::Database* db, const ProtocolOptions& options,
     replica::LagTracker* lag) {
   switch (kind) {
@@ -84,20 +82,6 @@ std::unique_ptr<replica::ReplicaBase> MakeReplicaImpl(
           db, replica::QueryFreshReplica::Options{}, lag);
   }
   return nullptr;
-}
-
-}  // namespace
-
-std::unique_ptr<replica::ReplicaBase> MakeReplica(
-    ProtocolKind kind, storage::Database* db, const ProtocolOptions& options,
-    replica::LagTracker* lag) {
-  std::unique_ptr<replica::ReplicaBase> replica =
-      MakeReplicaImpl(kind, db, options, lag);
-  // Cross-protocol construction hook: the stable instance id.
-  if (replica != nullptr && !options.instance_id.empty()) {
-    replica->SetInstanceId(options.instance_id);
-  }
-  return replica;
 }
 
 }  // namespace c5::core

@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <memory>
-#include <string>
 
 #include "replica/lag_tracker.h"
 #include "replica/replica.h"
@@ -39,11 +38,6 @@ struct ProtocolOptions {
   int gc_every = 0;  // C5 variants: GC every N snapshots (0 = off)
   // C5 variants: initial capacity of the scheduler's flat row map.
   std::size_t scheduler_map_capacity = std::size_t{1} << 16;
-  // Stable per-node id ("shard0/backup1") surfaced through
-  // replica::ReplicaBase::instance_id() in logs and DST failure output, so a
-  // multi-shard divergence names the replica it happened on. Empty: the
-  // protocol name alone identifies the node.
-  std::string instance_id;
 };
 
 std::unique_ptr<replica::ReplicaBase> MakeReplica(

@@ -10,6 +10,7 @@
 #include <memory>
 #include <thread>
 
+#include "common/event_count.h"
 #include "common/spsc_queue.h"
 #include "log/log_segment.h"
 
@@ -115,25 +116,33 @@ class GatedSegmentSource : public SegmentSource {
   GatedSegmentSource(Log* log, std::size_t gate_at)
       : log_(log), gate_at_(gate_at) {}
 
-  void Open() { open_.store(true, std::memory_order_release); }
+  void Open() {
+    open_.store(true, std::memory_order_release);
+    gate_.NotifyAll();
+  }
 
   LogSegment* Next() override {
     if (pos_ >= log_->NumSegments()) return nullptr;
     if (pos_ >= gate_at_) {
-      while (!open_.load(std::memory_order_acquire)) {
-        if (cancelled_.load(std::memory_order_acquire)) return nullptr;
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
+      gate_.Await([this] {
+        return open_.load(std::memory_order_acquire) ||
+               cancelled_.load(std::memory_order_acquire);
+      });
+      if (!open_.load(std::memory_order_acquire)) return nullptr;
     }
     return log_->segment(pos_++);
   }
-  void Cancel() override { cancelled_.store(true, std::memory_order_release); }
+  void Cancel() override {
+    cancelled_.store(true, std::memory_order_release);
+    gate_.NotifyAll();
+  }
 
  private:
   Log* log_;
   const std::size_t gate_at_;
   std::atomic<bool> open_{false};
   std::atomic<bool> cancelled_{false};
+  EventCount gate_;
   std::size_t pos_ = 0;
 };
 

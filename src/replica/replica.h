@@ -146,8 +146,8 @@ class ReplicaBase {
   // instance from every other one in a multi-shard fleet. name() identifies
   // the protocol; instance_id() identifies the node, so logs and DST failure
   // output can attribute a divergence to one replica of one shard group.
-  // Set once at construction time (core::MakeReplica applies
-  // ProtocolOptions::instance_id); not synchronized against concurrent use.
+  // Set once at construction time (BackupNode applies BackupOptions::id);
+  // not synchronized against concurrent use.
   void SetInstanceId(std::string id) { instance_id_ = std::move(id); }
   const std::string& instance_id() const { return instance_id_; }
 

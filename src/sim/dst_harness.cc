@@ -415,8 +415,7 @@ void RunConvergenceReplica(const DstPlan& plan, ProtocolKind kind,
   c5::BackupOptions node_options;
   node_options.protocol = kind;
   node_options.id = who;
-  node_options.protocol_options.num_workers = plan.num_workers;
-  node_options.replay_workers = plan.replay_workers;
+  node_options.protocol_options.num_workers = ReplayWidth(plan);
   node_options.protocol_options.snapshot_interval =
       std::chrono::microseconds(100);
   node_options.protocol_options.gc_every = plan.gc_every;
@@ -615,8 +614,7 @@ void RunPromotionScenario(const DstPlan& plan, DstPrimary& primary,
   c5::BackupOptions victim_options;
   victim_options.protocol = ProtocolKind::kC5;
   victim_options.id = "promotion/victim";
-  victim_options.protocol_options.num_workers = plan.num_workers;
-  victim_options.replay_workers = plan.replay_workers;
+  victim_options.protocol_options.num_workers = ReplayWidth(plan);
   victim_options.protocol_options.snapshot_interval =
       std::chrono::microseconds(100);
   c5::BackupNode victim(victim_options);

@@ -86,14 +86,19 @@ struct DstPlan {
   bool reshard_abort = false;  // abort at the fence instead of committing
 
   // ---- Replay-worker sweep: overrides num_workers for every replica in
-  // the scenario when > 0 (the BackupOptions::replay_workers path). Drawn
-  // from {1, 2, 4} so the partitioned-batch pipeline's epoch-batched
+  // the scenario when > 0 (see ReplayWidth). Drawn from {1, 2, 4} so
+  // the partitioned-batch pipeline's epoch-batched
   // visibility is exercised at degenerate (1), default (2), and
   // oversubscribed (4, on small CI hosts) widths. ----
   int replay_workers = 0;
 
   static DstPlan FromSeed(std::uint64_t seed);
 };
+
+// The replay width every replica in the scenario runs with.
+inline int ReplayWidth(const DstPlan& plan) {
+  return plan.replay_workers > 0 ? plan.replay_workers : plan.num_workers;
+}
 
 }  // namespace c5::sim
 

@@ -14,6 +14,7 @@
 #include "common/spsc_queue.h"
 #include "core/c5_myrocks_replica.h"
 #include "core/c5_replica.h"
+#include "core/protocol_factory.h"
 #include "log/segment_source.h"
 #include "replica/lag_tracker.h"
 #include "tests/test_util.h"
@@ -223,20 +224,24 @@ TEST(C5WatermarkTest, WatermarkTracksScheduledMax) {
   replica.Stop();
 }
 
-TEST(C5WatermarkTest, ParkedIdleWorkersFollowTheWatermark) {
-  // Every record writes ONE row, so one worker gets every batch and the
-  // other three sit idle, parked. An idle worker publishes the watermark
-  // as its c'; if it slept through a watermark move, its stale c' would pin
-  // min(c') and the visible snapshot would stop. Segments arrive >= 1 ms
-  // apart, well past the workers' spin window, and each must become
-  // visible promptly.
+// Every record writes ONE row, so at most one worker has work and the
+// others sit idle, parked: C5's idle workers on their EventCount,
+// C5-MyRocks's in TxnDispatchQueue::Pop, KuaFu's and C5-Queue's in
+// MpmcQueue::Pop. A C5 idle worker publishes the watermark as its c'; if
+// it slept through a watermark move, its stale c' would pin min(c'). A
+// C5-MyRocks worker that parked without resetting its in-flight floor would
+// pin the snapshot boundary. A lost wake-up in any queue strands the
+// segment. Segments arrive >= 1 ms apart on a live channel, well past the
+// spin window, and each must become visible within 100 ms.
+void ExpectParkedIdleWorkersFollowTheWatermark(ProtocolKind kind) {
   constexpr int kSegments = 40;
   constexpr int kTxnsPerSegment = 4;
   storage::Database backup;
   const TableId table = backup.CreateTable("t", 16);
   SpscQueue<log::LogSegment*> channel(64);
   log::ChannelSegmentSource source(&channel);
-  C5Replica replica(&backup, C5Replica::Options{.num_workers = 4});
+  const auto replica_ptr = MakeReplica(kind, &backup, {.num_workers = 4});
+  replica::ReplicaBase& replica = *replica_ptr;
   replica.Start(&source);
 
   const std::string value = "v";
@@ -280,6 +285,15 @@ TEST(C5WatermarkTest, ParkedIdleWorkersFollowTheWatermark) {
   EXPECT_EQ(replica.VisibleTimestamp(), ts);
   EXPECT_EQ(replica.stats().applied_writes.load(),
             static_cast<std::uint64_t>(kSegments * kTxnsPerSegment));
+}
+
+TEST(C5WatermarkTest, ParkedIdleWorkersFollowTheWatermark) {
+  for (const ProtocolKind kind :
+       {ProtocolKind::kC5, ProtocolKind::kC5MyRocks, ProtocolKind::kKuaFu,
+        ProtocolKind::kC5Queue}) {
+    SCOPED_TRACE(ToString(kind));
+    ExpectParkedIdleWorkersFollowTheWatermark(kind);
+  }
 }
 
 TEST(C5WatermarkTest, WorkersPublishVisibilityWithoutSnapshotter) {

@@ -24,6 +24,7 @@
 #include "api/sharded_cluster.h"
 #include "ha/recovery.h"
 #include "log/segment_source.h"
+#include "net/socket.h"
 #include "tests/test_util.h"
 #include "workload/synthetic.h"
 
@@ -353,14 +354,16 @@ std::int64_t ProcessCpuNanos() {
 TEST(ClusterTest, IdleClusterDoesNotSpin) {
   // A cluster with nothing to replicate must leave its cores to the reads
   // it exists to serve: the ship-server drain thread, the replay
-  // schedulers and the C5 workers park until work arrives, and only the
-  // periodic flusher and snapshotters wake, briefly. One backup is fed over
-  // loopback TCP, the other through an in-process channel.
+  // schedulers and every protocol's workers park until work arrives, and
+  // only the periodic flusher and snapshotters wake, briefly. One backup is
+  // fed over loopback TCP, the others through in-process channels.
   Cluster cluster(ClusterOptions{}
                       .WithWorkers(2)
                       .AddBackup({.protocol = core::ProtocolKind::kC5,
                                   .via_socket = true})
-                      .AddBackup({.protocol = core::ProtocolKind::kC5MyRocks}));
+                      .AddBackup({.protocol = core::ProtocolKind::kC5MyRocks})
+                      .AddBackup({.protocol = core::ProtocolKind::kKuaFu})
+                      .AddBackup({.protocol = core::ProtocolKind::kC5Queue}));
   cluster.CreateTable("kv");
   cluster.Start();
   std::this_thread::sleep_for(std::chrono::milliseconds(50));  // settle
@@ -378,6 +381,23 @@ TEST(ClusterTest, IdleClusterDoesNotSpin) {
       << "idle cluster used " << static_cast<double>(cpu_ns) / 1e6
       << " ms of CPU over " << static_cast<double>(wall_ns) / 1e6
       << " ms of wall time";
+}
+
+TEST(ClusterTest, StartReportsAFailedListen) {
+  // A port another socket already listens on: Start must fail before any
+  // engine, backup or flusher thread runs, and the cluster must shut down
+  // cleanly (c5-server --live exits non-zero on this).
+  net::TcpListener busy;
+  ASSERT_TRUE(busy.Listen(0).ok());
+  Cluster cluster(ClusterOptions{}.WithBackups(1).WithListenPort(busy.port()));
+  const TableId t = cluster.CreateTable("kv");
+  const Status s = cluster.Start();
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(cluster.server_port(), 0);
+  EXPECT_EQ(cluster.num_backups(), 0u);
+  EXPECT_FALSE(PutInt(cluster, t, 1, 1).ok())
+      << "a failed Start must leave no primary running";
+  cluster.Shutdown();
 }
 
 // BackupNode (the standalone half of the façade): an in-place restart arms

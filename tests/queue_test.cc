@@ -165,25 +165,25 @@ TEST(SpscQueueTest, FullQueuePushParksAndWakesOnPop) {
   EXPECT_EQ(q.TryPop(), std::optional<int>(3));
 }
 
-TEST(SpscQueueTest, PingPongThroughParkedSidesLosesNoWakeup) {
-  // Two threads bounce a token through two queues. Every 64th hop each
-  // side stalls past the other's spin window, so both sides park and wake
-  // over and over: a lost wake-up strands the token and the run times out.
+// Two threads bounce a token through two queues. Every 64th hop each side
+// stalls past the other's spin window, so both sides park and wake over and
+// over: a lost wake-up strands the token and the run times out. One token
+// is in flight, so a Push never meets a full queue.
+template <typename Queue>
+void PingPongThroughParkedSides(Queue& ping, Queue& pong) {
   constexpr int kRoundTrips = 200'000;
-  SpscQueue<int> ping(4);
-  SpscQueue<int> pong(4);
   std::atomic<bool> done{false};
   std::atomic<int> completed{0};
   std::thread echo([&] {
     while (auto v = ping.Pop()) {
       if (*v % 64 == 0) StallPastSpinWindow();
-      if (!pong.Push(*v)) return;
+      pong.Push(*v);
     }
   });
   std::thread pinger([&] {
     for (int i = 0; i < kRoundTrips; ++i) {
       if (i % 64 == 32) StallPastSpinWindow();
-      if (!ping.Push(i)) return;
+      ping.Push(i);
       const std::optional<int> v = pong.Pop();
       if (v != std::optional<int>(i)) return;
       completed.store(i + 1, std::memory_order_relaxed);
@@ -199,6 +199,12 @@ TEST(SpscQueueTest, PingPongThroughParkedSidesLosesNoWakeup) {
   ASSERT_TRUE(finished) << "stalled after " << completed.load()
                         << " round trips";
   EXPECT_EQ(completed.load(), kRoundTrips);
+}
+
+TEST(SpscQueueTest, PingPongThroughParkedSidesLosesNoWakeup) {
+  SpscQueue<int> ping(4);
+  SpscQueue<int> pong(4);
+  PingPongThroughParkedSides(ping, pong);
 }
 
 TEST(MpmcQueueTest, PushPopBasic) {
@@ -259,6 +265,12 @@ TEST(MpmcQueueTest, ManyProducersManyConsumers) {
   const std::int64_t n = static_cast<std::int64_t>(kProducers) * kPerProducer;
   EXPECT_EQ(popped.load(), n);
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+}
+
+TEST(MpmcQueueTest, PingPongThroughParkedSidesLosesNoWakeup) {
+  MpmcQueue<int> ping;
+  MpmcQueue<int> pong;
+  PingPongThroughParkedSides(ping, pong);
 }
 
 TEST(MpmcQueueTest, SizeReflectsContents) {

@@ -158,7 +158,11 @@ int RunLive(const Args& args) {
   for (const auto& [name, expected] : c5::workload::SeededSchema()) {
     table = cluster.CreateTable(name, expected);
   }
-  cluster.Start();
+  const c5::Status s = cluster.Start();
+  if (!s.ok()) {
+    std::fprintf(stderr, "listen failed: %s\n", s.ToString().c_str());
+    return 1;
+  }
   AnnouncePort(cluster.server_port());
 
   // The same seeded workload, executed through the live engine: subscribers
